@@ -330,6 +330,7 @@ let bucket_bench () =
   let raid = Wafl_storage.Raid.create eng ~cost:Wafl_sim.Cost.free ~disk ~rg:0 in
   let tetris =
     Wafl_core.Tetris.create eng ~cost:Wafl_sim.Cost.free ~raid ~expected_buckets:max_int
+      ~blocks:0
   in
   let bucket = ref None in
   let next_base = ref 0 in
@@ -368,9 +369,8 @@ let bitmap_scan_bench () =
   done;
   let start = ref 0 in
   Staged.stage (fun () ->
-      match Wafl_fs.Bitmap_file.find_free map ~lo:0 ~hi:((1 lsl 20) - 1) ~start:!start with
-      | Some b -> start := (b + 1) land 0xFFFFF
-      | None -> start := 0)
+      let b = Wafl_fs.Bitmap_file.find_free map ~lo:0 ~hi:((1 lsl 20) - 1) ~start:!start in
+      start := if b >= 0 then (b + 1) land 0xFFFFF else 0)
 
 let stage_bench () =
   let s = Wafl_core.Stage.create ~target:Wafl_core.Stage.Phys ~capacity:64 in
@@ -380,6 +380,27 @@ let stage_bench () =
       match Wafl_core.Stage.add s !i with
       | `Ok -> ()
       | `Full -> ignore (Wafl_core.Stage.drain s))
+
+let cp_buffers_bench () =
+  (* Collect and sort the CP snapshot of a file with 4 k dirty buffers,
+     written in a scrambled order. *)
+  let f = Wafl_fs.File.create ~vol:0 ~id:0 in
+  for i = 0 to 4095 do
+    Wafl_fs.File.write f ~fbn:(i * 2503 mod 4096) ~content:(Int64.of_int i)
+  done;
+  Wafl_fs.File.cp_snapshot f;
+  Staged.stage (fun () -> ignore (Wafl_fs.File.cp_buffers f))
+
+let stripe_bench () =
+  (* Full/partial stripe count of one full-width stripe I/O. *)
+  let eng = Wafl_sim.Engine.create ~cores:1 () in
+  let geom =
+    Wafl_storage.Geometry.create ~drive_blocks:65536 ~aa_stripes:1024 ~raid_groups:[ (10, 2) ] ()
+  in
+  let disk = Wafl_storage.Disk.create geom in
+  let raid = Wafl_storage.Raid.create eng ~cost:Wafl_sim.Cost.free ~disk ~rg:0 in
+  let vbns = Array.init 10 (fun drive -> Wafl_storage.Geometry.vbn_of geom ~rg:0 ~drive ~dbn:7) in
+  Staged.stage (fun () -> ignore (Wafl_storage.Raid.stripe_mix raid vbns))
 
 let engine_bench () =
   Staged.stage (fun () ->
@@ -393,6 +414,24 @@ let rng_bench () =
   let r = Wafl_util.Rng.create ~seed:1 in
   Staged.stage (fun () -> ignore (Wafl_util.Rng.bits64 r))
 
+(* Minor words allocated, read with [Gc.minor_words]: Bechamel's own
+   [Toolkit.Instance.minor_allocated] reads [Gc.quick_stat], whose minor
+   word count only advances at minor collections on OCaml 5.1, so it
+   reads 0 for most primitives. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "words"
+end
+
+let minor_words =
+  Measure.instance (module Minor_words) (Measure.register (module Minor_words))
+
 let micro () =
   section "Micro-benchmarks (real wall time of allocator primitives)";
   let test =
@@ -402,25 +441,33 @@ let micro () =
         Test.make ~name:"activemap bit toggle (incl. dirty tracking)" (bitmap_bench ());
         Test.make ~name:"activemap find_free (sparse free)" (bitmap_scan_bench ());
         Test.make ~name:"stage add (drain amortized)" (stage_bench ());
+        Test.make ~name:"File.cp_buffers (4 k buffers)" (cp_buffers_bench ());
+        Test.make ~name:"RAID stripe count (one full stripe)" (stripe_bench ());
         Test.make ~name:"DES engine: 50 fibers spawn+run" (engine_bench ());
         Test.make ~name:"xoshiro256 star-star bits64" (rng_bench ());
       ]
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let instance = Instance.monotonic_clock in
+  let clock = Instance.monotonic_clock and words = minor_words in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg [ instance ] test in
-  let results = Analyze.all ols instance raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let ns = match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> Float.nan in
-      rows := (name, ns) :: !rows)
-    results;
-  let t = Wafl_util.Table.create ~headers:[ "operation"; "ns/op" ] in
+  let raw = Benchmark.all cfg [ clock; words ] test in
+  (* Per-run OLS slope of one measure, by test name. *)
+  let per_run instance =
+    let est = Analyze.all ols instance raw in
+    fun name ->
+      match Analyze.OLS.estimates (Hashtbl.find est name) with
+      | Some (e :: _) -> e
+      | _ -> Float.nan
+  in
+  let ns = per_run clock and wpo = per_run words in
+  (* lint-ok: sorted before printing. *)
+  let names = List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) raw []) in
+  let t = Wafl_util.Table.create ~headers:[ "operation"; "ns/op"; "words/op" ] in
   List.iter
-    (fun (name, ns) -> Wafl_util.Table.add_row t [ name; Printf.sprintf "%.1f" ns ])
-    (List.sort compare !rows);
+    (fun name ->
+      Wafl_util.Table.add_row t
+        [ name; Printf.sprintf "%.1f" (ns name); Printf.sprintf "%.1f" (wpo name) ])
+    names;
   Wafl_util.Table.print t
 
 let () =

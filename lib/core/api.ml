@@ -8,11 +8,9 @@ let phys_tetris bucket =
 
 let use bucket ~payload =
   let tetris = phys_tetris bucket in
-  match Bucket.take bucket with
-  | None -> None
-  | Some vbn ->
-      Tetris.enqueue tetris ~vbn ~payload;
-      Some vbn
+  let vbn = Bucket.take bucket in
+  if vbn >= 0 then Tetris.enqueue tetris ~vbn ~payload;
+  vbn
 
 let use_virt bucket =
   (match Bucket.target bucket with

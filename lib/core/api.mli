@@ -17,18 +17,18 @@ val get_phys : Infra.t -> Bucket.t
 val get_virt : Infra.t -> Wafl_fs.Volume.t -> Bucket.t
 (** Acquire a bucket of virtual VBNs for one volume. *)
 
-val use : Bucket.t -> payload:Wafl_fs.Layout.block -> int option
+val use : Bucket.t -> payload:Wafl_fs.Layout.block -> int
 (** Consume the next VBN of a physical bucket and enqueue the buffer
-    into the tetris; [None] when the bucket is exhausted (PUT it and GET
-    a fresh one).  Raises [Invalid_argument] on a virtual bucket. *)
+    into the tetris; -1 when the bucket is exhausted (PUT it and GET a
+    fresh one).  Raises [Invalid_argument] on a virtual bucket. *)
 
-val use_virt : Bucket.t -> int option
-(** Consume the next vvbn of a virtual bucket. *)
+val use_virt : Bucket.t -> int
+(** Consume the next vvbn of a virtual bucket; -1 when exhausted. *)
 
-val take_deferred : Bucket.t -> int option
+val take_deferred : Bucket.t -> int
 (** CP metafile pass only: consume a VBN {e without} enqueuing a payload
     yet (metafile contents are serialized after all allocation bits have
-    settled).  Pair with {!enqueue_deferred}. *)
+    settled); -1 when exhausted.  Pair with {!enqueue_deferred}. *)
 
 val enqueue_deferred : Bucket.t -> vbn:int -> payload:Wafl_fs.Layout.block -> unit
 

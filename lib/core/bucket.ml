@@ -22,15 +22,22 @@ let remaining t = Array.length t.vbns - t.next
 let is_exhausted t = remaining t = 0
 
 let take t =
-  if is_exhausted t then None
+  if is_exhausted t then -1
   else begin
     let v = t.vbns.(t.next) in
     t.next <- t.next + 1;
-    Some v
+    v
   end
 
-let consumed t = Array.to_list (Array.sub t.vbns 0 t.next)
+let first_consumed t = if t.next = 0 then -1 else t.vbns.(0)
+
+let iter_consumed t f =
+  for i = 0 to t.next - 1 do
+    f t.vbns.(i)
+  done
+
 let consumed_count t = t.next
+let vbns t = t.vbns
 let unused t = Array.to_list (Array.sub t.vbns t.next (Array.length t.vbns - t.next))
 let mark_committed t = t.committed <- true
 let is_committed t = t.committed

@@ -23,15 +23,22 @@ val capacity : t -> int
 val remaining : t -> int
 val is_exhausted : t -> bool
 
-val take : t -> int option
-(** Consume the next VBN; [None] when exhausted. *)
+val take : t -> int
+(** Consume the next VBN; -1 when exhausted. *)
 
-val consumed : t -> int list
-(** VBNs taken so far, ascending — what the infrastructure must commit
-    to the allocation metafiles. *)
+val first_consumed : t -> int
+(** The first VBN taken, or -1 if none was. *)
+
+val iter_consumed : t -> (int -> unit) -> unit
+(** Visit the VBNs taken so far, ascending — what the infrastructure must
+    commit to the allocation metafiles. *)
 
 val consumed_count : t -> int
-(** [List.length (consumed t)] without building the list. *)
+(** Number of VBNs taken so far. *)
+
+val vbns : t -> int array
+(** The bucket's VBN array itself (read-only): its first
+    {!consumed_count} entries are the VBNs taken so far. *)
 
 val unused : t -> int list
 (** VBNs never taken (bucket returned early at a CP boundary); they

@@ -4,7 +4,10 @@ open Wafl_fs
 type segment = {
   vol : Volume.t;
   file : File.t;
-  buffers : (int * int64) list;
+  fbns : int array;
+  contents : int64 array;
+  pos : int;
+  len : int;
   whole_inode : bool;
 }
 
@@ -52,13 +55,13 @@ type t = {
   mutable n_inodes : int;
   mutable n_messages : int;
   mutable n_get_waits : int;
-  mutable busy : float;
+  busy : float ref; (* a float ref is stored flat: updates never box *)
 }
 
 (* All cleaner CPU goes through here so the dynamic tuner can read a
    cumulative busy figure that survives engine accounting resets. *)
 let charge t d =
-  t.busy <- t.busy +. d;
+  t.busy := !(t.busy) +. d;
   Wafl_obs.Metrics.addf t.m_busy d;
   Engine.consume d
 
@@ -71,13 +74,14 @@ let rec take_virt ?(spin = 0) t c vol =
          (Volume.id vol)
          (Infra.virt_cache_length t.infra vol));
   match c.virt with
-  | Some (vid, b) when vid = Volume.id vol -> (
-      match Api.use_virt b with
-      | Some v -> v
-      | None ->
-          Api.put t.infra b;
-          c.virt <- None;
-          take_virt ~spin:(spin + 1) t c vol)
+  | Some (vid, b) when vid = Volume.id vol ->
+      let v = Api.use_virt b in
+      if v >= 0 then v
+      else begin
+        Api.put t.infra b;
+        c.virt <- None;
+        take_virt ~spin:(spin + 1) t c vol
+      end
   | Some (_, b) ->
       (* Switching volumes: return the old bucket (partially used buckets
          are legal; unused VBNs simply stay free). *)
@@ -96,13 +100,14 @@ let rec take_phys ?(spin = 0) t c ~payload =
     failwith
       (Printf.sprintf "take_phys: livelock, cache=%d" (Infra.phys_cache_length t.infra));
   match c.phys with
-  | Some b -> (
-      match Api.use b ~payload with
-      | Some v -> v
-      | None ->
-          Api.put t.infra b;
-          c.phys <- None;
-          take_phys ~spin:(spin + 1) t c ~payload)
+  | Some b ->
+      let v = Api.use b ~payload in
+      if v >= 0 then v
+      else begin
+        Api.put t.infra b;
+        c.phys <- None;
+        take_phys ~spin:(spin + 1) t c ~payload
+      end
   | None ->
       if Infra.phys_cache_length t.infra = 0 then t.n_get_waits <- t.n_get_waits + 1;
       charge t t.cost.Cost.lock_acquire;
@@ -133,9 +138,9 @@ let stage_phys t c pvbn =
 
 let virt_stage t c vol =
   let vid = Volume.id vol in
-  match Hashtbl.find_opt c.virt_stages vid with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find c.virt_stages vid with
+  | s -> s
+  | exception Not_found ->
       let s =
         Stage.create
           ~target:(Stage.Virt { vol = vid })
@@ -159,41 +164,39 @@ let stage_virt t c vol vvbn =
 
 let clean_segment t c seg =
   if seg.whole_inode then charge t t.cost.Cost.clean_inode_overhead;
-  let count = ref 0 in
-  List.iter
-    (fun (fbn, content) ->
-      let vol = seg.vol and file = seg.file in
-      let vvbn = take_virt t c vol in
-      let payload =
-        Layout.Data { vol = Volume.id vol; file = File.id file; fbn; content }
-      in
-      let pvbn = take_phys t c ~payload in
-      let old_vvbn = File.set_vvbn file ~fbn ~vvbn in
-      let prev = Volume.map_vvbn vol ~vvbn ~pvbn in
-      if prev <> -1 then
+  let vol = seg.vol and file = seg.file in
+  for i = seg.pos to seg.pos + seg.len - 1 do
+    let fbn = seg.fbns.(i) and content = seg.contents.(i) in
+    let vvbn = take_virt t c vol in
+    let payload =
+      Layout.Data { vol = Volume.id vol; file = File.id file; fbn; content }
+    in
+    let pvbn = take_phys t c ~payload in
+    let old_vvbn = File.set_vvbn file ~fbn ~vvbn in
+    let prev = Volume.map_vvbn vol ~vvbn ~pvbn in
+    if prev <> -1 then
+      failwith
+        (Printf.sprintf "cleaner: fresh vvbn %d of volume %d was already mapped to %d"
+           vvbn (Volume.id vol) prev);
+    if old_vvbn >= 0 then begin
+      (* The overwrite frees the previous generation of this block, in
+         both address spaces (§II-C). *)
+      let old_pvbn = Volume.map_vvbn vol ~vvbn:old_vvbn ~pvbn:(-1) in
+      if old_pvbn < 0 then
         failwith
-          (Printf.sprintf "cleaner: fresh vvbn %d of volume %d was already mapped to %d"
-             vvbn (Volume.id vol) prev);
-      if old_vvbn >= 0 then begin
-        (* The overwrite frees the previous generation of this block, in
-           both address spaces (§II-C). *)
-        let old_pvbn = Volume.map_vvbn vol ~vvbn:old_vvbn ~pvbn:(-1) in
-        if old_pvbn < 0 then
-          failwith
-            (Printf.sprintf "cleaner: stale vvbn %d of volume %d had no container entry"
-               old_vvbn (Volume.id vol));
-        stage_virt t c vol old_vvbn;
-        stage_phys t c old_pvbn;
-        token_probe t c;
-        incr c.c_freed
-      end;
-      charge t t.cost.Cost.clean_buffer;
+          (Printf.sprintf "cleaner: stale vvbn %d of volume %d had no container entry"
+             old_vvbn (Volume.id vol));
+      stage_virt t c vol old_vvbn;
+      stage_phys t c old_pvbn;
       token_probe t c;
-      incr c.c_cleaned;
-      t.n_buffers <- t.n_buffers + 1;
-      incr count;
-      if !count mod 64 = 0 then Engine.yield ())
-    seg.buffers;
+      incr c.c_freed
+    end;
+    charge t t.cost.Cost.clean_buffer;
+    token_probe t c;
+    incr c.c_cleaned;
+    t.n_buffers <- t.n_buffers + 1;
+    if (i - seg.pos + 1) mod 64 = 0 then Engine.yield ()
+  done;
   if seg.whole_inode then t.n_inodes <- t.n_inodes + 1
 
 let flush_cleaner t c =
@@ -323,7 +326,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra ~max_threads ~initial_threads 
       n_inodes = 0;
       n_messages = 0;
       n_get_waits = 0;
-      busy = 0.0;
+      busy = ref 0.0;
     }
   in
   Wafl_obs.Metrics.set t.g_active (float_of_int initial);
@@ -402,4 +405,4 @@ let buffers_cleaned t = t.n_buffers
 let inodes_cleaned t = t.n_inodes
 let messages_processed t = t.n_messages
 let get_waits t = t.n_get_waits
-let utilization_busy t = t.busy
+let utilization_busy t = !(t.busy)

@@ -15,7 +15,10 @@
 type segment = {
   vol : Wafl_fs.Volume.t;
   file : Wafl_fs.File.t;
-  buffers : (int * int64) list;  (** (fbn, content), ascending fbn *)
+  fbns : int array;  (** the file's CP buffers, ascending fbn ({!Wafl_fs.File.cp_buffers}) *)
+  contents : int64 array;  (** their contents, parallel to [fbns] *)
+  pos : int;  (** this segment cleans [fbns.(pos)] .. [fbns.(pos + len - 1)] *)
+  len : int;
   whole_inode : bool;  (** charge the per-inode overhead for this segment *)
 }
 

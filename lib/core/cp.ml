@@ -30,9 +30,14 @@ let default_config =
 type serial_state = {
   mutable pvbn_cursor : int;
   vvbn_cursors : (int, int ref) Hashtbl.t;
-  io_buffers : (int * Layout.block) list ref array; (* per RAID group *)
+  (* Per RAID group: writes awaiting submission, [io_counts] slots used. *)
+  io_vbns : int array array;
+  io_payloads : Layout.block array array;
   io_counts : int array;
 }
+
+(* Writes per serial-mode RAID submission. *)
+let serial_io_batch = 1024
 
 type record = {
   generation : int;
@@ -118,43 +123,34 @@ let build_work_seq t snapshot =
       List.iter
         (fun file ->
           (* Count first — most files are clean, and the count is O(1)
-             while [cp_buffers] builds a sorted list. *)
+             while [cp_buffers] builds sorted arrays. *)
           let n = File.cp_buffer_count file in
           if n = 0 then ()
           else
-            let buffers = File.cp_buffers file in
-            if n > t.cfg.segment_buffers then begin
-            (* Large inode: split so several cleaners share it. *)
-            flush_batch ();
-            let rec split remaining first =
-              match remaining with
-              | [] -> ()
-              | _ ->
-                  let rec take k acc rest =
-                    if k = 0 then (List.rev acc, rest)
-                    else
-                      match rest with
-                      | [] -> (List.rev acc, [])
-                      | x :: tl -> take (k - 1) (x :: acc) tl
-                  in
-                  let seg, rest = take t.cfg.segment_buffers [] remaining in
-                  units :=
-                    [ { Cleaner_pool.vol; file; buffers = seg; whole_inode = first } ]
-                    :: !units;
-                  split rest false
+            let fbns, contents = File.cp_buffers file in
+            let segment pos len =
+              { Cleaner_pool.vol; file; fbns; contents; pos; len; whole_inode = pos = 0 }
             in
-            split buffers true
-          end
-          else if t.cfg.batching then begin
-            if
-              !batch_inodes >= t.cfg.batch_max_inodes
-              || !batch_buffers + n > t.cfg.batch_max_buffers && !batch_inodes > 0
-            then flush_batch ();
-            batch := { Cleaner_pool.vol; file; buffers; whole_inode = true } :: !batch;
-            incr batch_inodes;
-            batch_buffers := !batch_buffers + n
-          end
-          else units := [ { Cleaner_pool.vol; file; buffers; whole_inode = true } ] :: !units)
+            if n > t.cfg.segment_buffers then begin
+              (* Large inode: split so several cleaners share it. *)
+              flush_batch ();
+              let pos = ref 0 in
+              while !pos < n do
+                let len = min t.cfg.segment_buffers (n - !pos) in
+                units := [ segment !pos len ] :: !units;
+                pos := !pos + len
+              done
+            end
+            else if t.cfg.batching then begin
+              if
+                !batch_inodes >= t.cfg.batch_max_inodes
+                || !batch_buffers + n > t.cfg.batch_max_buffers && !batch_inodes > 0
+              then flush_batch ();
+              batch := segment 0 n :: !batch;
+              incr batch_inodes;
+              batch_buffers := !batch_buffers + n
+            end
+            else units := [ segment 0 n ] :: !units)
         files)
     snapshot;
   flush_batch ();
@@ -208,14 +204,16 @@ let metafile_pass t =
   let rec alloc_meta () =
     match !current with
     | Some bucket -> (
-        match Api.take_deferred bucket with
-        | Some pvbn ->
-            Engine.consume t.cost.Cost.bitmap_bit_update;
-            Aggregate.commit_alloc_pvbn t.agg pvbn;
-            (pvbn, bucket)
-        | None ->
-            put_current ();
-            alloc_meta ())
+        let pvbn = Api.take_deferred bucket in
+        if pvbn >= 0 then begin
+          Engine.consume t.cost.Cost.bitmap_bit_update;
+          Aggregate.commit_alloc_pvbn t.agg pvbn;
+          (pvbn, bucket)
+        end
+        else begin
+          put_current ();
+          alloc_meta ()
+        end)
     | None ->
         Engine.consume (t.cost.Cost.lock_acquire +. t.cost.Cost.bucket_fixed);
         let bucket = Api.get_phys t.infra in
@@ -341,7 +339,7 @@ let process_zombies t =
                       match rest with [] -> (acc, []) | x :: tl -> take (k - 1) (x :: acc) tl
                   in
                   let batch, rest = take 64 [] vbns in
-                  Infra.commit_frees t.infra ~target ~vbns:batch ~token;
+                  Infra.commit_frees t.infra ~target ~vbns:(Array.of_list batch) ~token;
                   in_batches target rest
             in
             in_batches (Stage.Virt { vol = Volume.id vol }) !vvbns;
@@ -363,20 +361,18 @@ let process_zombies t =
 let serial_alloc_in t map ~allocatable ~cursor ~limit =
   let scanned_before = Bitmap_file.words_scanned map in
   let rec hunt ~wrapped start =
-    match Bitmap_file.find_free map ~lo:0 ~hi:(limit - 1) ~start with
-    | Some v when allocatable v -> Some v
-    | Some v -> hunt ~wrapped (v + 1)
-    | None -> if wrapped then None else hunt ~wrapped:true 0
+    let v = Bitmap_file.find_free map ~lo:0 ~hi:(limit - 1) ~start in
+    if v >= 0 then if allocatable v then v else hunt ~wrapped (v + 1)
+    else if wrapped then -1
+    else hunt ~wrapped:true 0
   in
   let found = hunt ~wrapped:false !cursor in
   Engine.consume
     (float_of_int (Bitmap_file.words_scanned map - scanned_before)
     *. t.cost.Cost.bitmap_scan_word);
-  match found with
-  | Some v ->
-      cursor := v + 1;
-      v
-  | None -> failwith "serial allocator: out of space"
+  if found < 0 then failwith "serial allocator: out of space";
+  cursor := found + 1;
+  found
 
 let serial_pvbn_cursor t = ref t.serial.pvbn_cursor
 
@@ -411,31 +407,27 @@ let serial_alloc_vvbn t vol =
   Aggregate.commit_alloc_vvbn t.agg ~vol v;
   v
 
-let serial_enqueue_write t pvbn payload =
-  let geom = Aggregate.geometry t.agg in
-  let rg = (Wafl_storage.Geometry.locate geom pvbn).Wafl_storage.Geometry.rg in
-  let buf = t.serial.io_buffers.(rg) in
-  buf := (pvbn, payload) :: !buf;
-  t.serial.io_counts.(rg) <- t.serial.io_counts.(rg) + 1;
-  if t.serial.io_counts.(rg) >= 1024 then begin
-    Wafl_storage.Raid.submit (Aggregate.raid t.agg ~rg) ~writes:(List.rev !buf)
+let serial_submit t rg =
+  let n = t.serial.io_counts.(rg) in
+  if n > 0 then begin
+    Wafl_storage.Raid.submit (Aggregate.raid t.agg ~rg)
+      ~vbns:(Array.sub t.serial.io_vbns.(rg) 0 n)
+      ~payloads:(Array.sub t.serial.io_payloads.(rg) 0 n)
       ~on_complete:(fun () -> ());
-    buf := [];
     t.serial.io_counts.(rg) <- 0
   end
 
-let serial_flush_io t =
-  Array.iteri
-    (fun rg buf ->
-      if !buf <> [] then begin
-        Wafl_storage.Raid.submit (Aggregate.raid t.agg ~rg) ~writes:(List.rev !buf)
-          ~on_complete:(fun () -> ());
-        buf := [];
-        t.serial.io_counts.(rg) <- 0
-      end)
-    t.serial.io_buffers
+let serial_enqueue_write t pvbn payload =
+  let rg = Wafl_storage.Geometry.rg_of (Aggregate.geometry t.agg) pvbn in
+  let n = t.serial.io_counts.(rg) in
+  t.serial.io_vbns.(rg).(n) <- pvbn;
+  t.serial.io_payloads.(rg).(n) <- payload;
+  t.serial.io_counts.(rg) <- n + 1;
+  if n + 1 >= serial_io_batch then serial_submit t rg
 
-let serial_clean_buffer t vol file (fbn, content) =
+let serial_flush_io t = Array.iteri (fun rg _ -> serial_submit t rg) t.serial.io_counts
+
+let serial_clean_buffer t vol file fbn content =
   let vvbn = serial_alloc_vvbn t vol in
   let pvbn = serial_alloc_pvbn t in
   let old_vvbn = File.set_vvbn file ~fbn ~vvbn in
@@ -458,27 +450,19 @@ let serial_clean t snapshot =
     (fun (vol, files) ->
       List.iter
         (fun file ->
-          let buffers = File.cp_buffers file in
-          if buffers <> [] then begin
-            let rec in_chunks = function
-              | [] -> ()
-              | buffers ->
-                  let rec take k acc rest =
-                    if k = 0 then (List.rev acc, rest)
-                    else
-                      match rest with
-                      | [] -> (List.rev acc, [])
-                      | x :: tl -> take (k - 1) (x :: acc) tl
-                  in
-                  let chunk, rest = take 256 [] buffers in
-                  Wafl_waffinity.Scheduler.post_wait sched ~affinity:Wafl_waffinity.Affinity.Serial
-                    ~label:"cleaner" (fun () ->
-                      Engine.consume t.cost.Cost.clean_inode_overhead;
-                      List.iter (serial_clean_buffer t vol file) chunk);
-                  in_chunks rest
-            in
-            in_chunks buffers
-          end)
+          let fbns, contents = File.cp_buffers file in
+          let n = Array.length fbns in
+          let pos = ref 0 in
+          while !pos < n do
+            let lo = !pos and hi = min n (!pos + 256) - 1 in
+            Wafl_waffinity.Scheduler.post_wait sched ~affinity:Wafl_waffinity.Affinity.Serial
+              ~label:"cleaner" (fun () ->
+                Engine.consume t.cost.Cost.clean_inode_overhead;
+                for i = lo to hi do
+                  serial_clean_buffer t vol file fbns.(i) contents.(i)
+                done);
+            pos := hi + 1
+          done)
         files)
     snapshot
 
@@ -705,11 +689,7 @@ let run_cp_body t =
       let work = build_work t snapshot in
       buffers_total :=
         List.fold_left
-          (fun acc w ->
-            acc
-            + List.fold_left
-                (fun a (s : Cleaner_pool.segment) -> a + List.length s.buffers)
-                0 w)
+          (fun acc w -> List.fold_left (fun a (s : Cleaner_pool.segment) -> a + s.len) acc w)
           0 work;
       set_phase t "cleaning";
       List.iter (fun w -> Cleaner_pool.submit t.pool w) work;
@@ -813,6 +793,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra pool cfg =
   let agg = Infra.aggregate infra in
   let eng = Aggregate.engine agg in
   let m = Wafl_obs.Trace.metrics obs in
+  let rgs = Wafl_storage.Geometry.raid_group_count (Aggregate.geometry agg) in
   let t =
     {
       eng;
@@ -833,16 +814,12 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra pool cfg =
         {
           pvbn_cursor = 0;
           vvbn_cursors = Hashtbl.create 4;
-          io_buffers =
-            Array.init
-              (Wafl_storage.Geometry.raid_group_count
-                 (Aggregate.geometry (Infra.aggregate infra)))
-              (fun _ -> ref []);
-          io_counts =
-            Array.make
-              (Wafl_storage.Geometry.raid_group_count
-                 (Aggregate.geometry (Infra.aggregate infra)))
-              0;
+          io_vbns = Array.init rgs (fun _ -> Array.make serial_io_batch 0);
+          io_payloads =
+            Array.init rgs (fun _ ->
+                Array.make serial_io_batch
+                  (Layout.Data { vol = -1; file = -1; fbn = -1; content = 0L }));
+          io_counts = Array.make rgs 0;
         };
       history = [];
       requested = false;

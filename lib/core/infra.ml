@@ -103,53 +103,60 @@ let quiesce_commits t =
 
 (* --- cost helpers ------------------------------------------------------ *)
 
-(* Distinct metafile blocks covered by a VBN list, plus its length, in
-   one pass.  Every caller passes an ascending list already — buckets
-   consume their VBN array front-to-back and stage drains are sorted —
-   so the sort is normally skipped; the run-count over a sorted list is
-   the distinct-block count either way. *)
-let rec sorted_from prev = function
-  | [] -> true
-  | v :: rest -> prev <= v && sorted_from v rest
-
-let blocks_and_len vbns =
+(* Distinct metafile blocks covered by the first [len] VBNs of [vbns].
+   Every caller passes ascending VBNs already — buckets consume their
+   VBN array front-to-back and stage drains are sorted — so the sort of
+   a copy is normally skipped; the run count over sorted VBNs is the
+   distinct-block count either way. *)
+let distinct_blocks vbns len =
+  let rec ascending i = i >= len || (vbns.(i - 1) <= vbns.(i) && ascending (i + 1)) in
   let vbns =
-    match vbns with
-    | [] -> vbns
-    | v :: rest -> if sorted_from v rest then vbns else List.sort Int.compare vbns
+    if ascending 1 then vbns
+    else begin
+      let copy = Array.sub vbns 0 len in
+      Array.stable_sort Int.compare copy;
+      copy
+    end
   in
-  let rec go acc len prev = function
-    | [] -> (acc, len)
-    | v :: rest ->
-        let b = v / Layout.bits_per_map_block in
-        if b = prev then go acc (len + 1) prev rest else go (acc + 1) (len + 1) b rest
-  in
-  go 0 0 (-1) vbns
+  let blocks = ref 0 and prev = ref (-1) in
+  for i = 0 to len - 1 do
+    let b = vbns.(i) / Layout.bits_per_map_block in
+    if b <> !prev then begin
+      incr blocks;
+      prev := b
+    end
+  done;
+  !blocks
 
-(* Charges the per-block and per-bit update costs; returns the list
-   length so callers need not re-walk the list to count it. *)
-let charge_bit_updates t vbns =
-  let blocks, len = blocks_and_len vbns in
+(* Charges the per-block and per-bit update costs of committing the first
+   [len] VBNs of [vbns]. *)
+let charge_bit_updates t vbns len =
+  let blocks = distinct_blocks vbns len in
   t.n_touched <- t.n_touched + blocks;
   Engine.consume
     ((float_of_int blocks *. t.cost.Cost.metafile_block_touch)
-    +. (float_of_int len *. t.cost.Cost.bitmap_bit_update));
-  len
+    +. (float_of_int len *. t.cost.Cost.bitmap_bit_update))
 
-(* Collect allocatable VBNs in [lo, hi] and charge scan cost. *)
+(* Collect the allocatable VBNs in [lo, hi], ascending, and charge scan
+   cost. *)
 let scan_range t map ~lo ~hi ~allocatable =
   let before = Bitmap_file.words_scanned map in
-  let rec go acc pos =
-    if pos > hi then acc
-    else
-      match Bitmap_file.find_free map ~lo ~hi ~start:pos with
-      | None -> acc
-      | Some v -> if allocatable v then go (v :: acc) (v + 1) else go acc (v + 1)
-  in
-  let found = List.rev (go [] lo) in
+  let found = Array.make (hi - lo + 1) 0 in
+  let n = ref 0 and pos = ref lo in
+  while !pos <= hi do
+    let v = Bitmap_file.find_free map ~lo ~hi ~start:!pos in
+    if v < 0 then pos := hi + 1
+    else begin
+      if allocatable v then begin
+        found.(!n) <- v;
+        incr n
+      end;
+      pos := v + 1
+    end
+  done;
   let scanned = Bitmap_file.words_scanned map - before in
   Engine.consume (float_of_int scanned *. t.cost.Cost.bitmap_scan_word);
-  found
+  if !n = Array.length found then found else Array.sub found 0 !n
 
 (* --- physical bucket cycle (per RAID group) ---------------------------- *)
 
@@ -187,13 +194,14 @@ let refill_drive t st ~drive ~base ~lo_dbn =
      the paired probes express as release/acquire edges. *)
   if Engine.sanitizing t.eng then
     Engine.probe_atomic t.eng ~shared:(Printf.sprintf "infra.rg%d.cycle" st.rg);
-  st.filled <- (drive, Array.of_list vbns) :: st.filled;
+  st.filled <- (drive, vbns) :: st.filled;
   st.refills_left <- st.refills_left - 1;
   if st.refills_left = 0 then begin
     let tetris =
       Tetris.create ~obs:t.obs t.eng ~cost:t.cost
         ~raid:(Aggregate.raid t.agg ~rg:st.rg)
         ~expected_buckets:(List.length st.filled)
+        ~blocks:(List.fold_left (fun n (_, vbns) -> n + Array.length vbns) 0 st.filled)
     in
     st.tetris <- tetris;
     let buckets =
@@ -223,16 +231,20 @@ let start_rg_cycle t st =
           refill_drive t st ~drive ~base ~lo_dbn))
     st.drives
 
+(* Commit a returned bucket's consumed VBNs to the allocation metafile
+   (unless the CP metafile pass already did) and count them. *)
+let commit_bucket t bucket commit_one =
+  let n = Bucket.consumed_count bucket in
+  if not (Bucket.is_committed bucket) then begin
+    charge_bit_updates t (Bucket.vbns bucket) n;
+    Bucket.iter_consumed bucket commit_one
+  end;
+  t.n_allocated <- t.n_allocated + n;
+  t.n_committed <- t.n_committed + 1
+
 let commit_phys_bucket t st bucket =
   Engine.consume (t.cost.Cost.bucket_fixed +. t.cost.Cost.summary_update);
-  if not (Bucket.is_committed bucket) then begin
-    let used = Bucket.consumed bucket in
-    let n = charge_bit_updates t used in
-    List.iter (fun v -> Aggregate.commit_alloc_pvbn t.agg v) used;
-    t.n_allocated <- t.n_allocated + n
-  end
-  else t.n_allocated <- t.n_allocated + Bucket.consumed_count bucket;
-  t.n_committed <- t.n_committed + 1;
+  commit_bucket t bucket (fun v -> Aggregate.commit_alloc_pvbn t.agg v);
   if Engine.sanitizing t.eng then
     Engine.probe_atomic t.eng ~shared:(Printf.sprintf "infra.rg%d.cycle" st.rg);
   st.returned <- st.returned + 1;
@@ -271,8 +283,7 @@ let scan_virt_chunk t vs ~lo ~hi =
         Aggregate.vvbn_allocatable t.agg ~vol:vs.vol v)
   in
   t.n_filled <- t.n_filled + 1;
-  Sync.Channel.send vs.cache
-    (Bucket.make ~target:(Bucket.Virt { vol = Volume.id vs.vol }) ~vbns:(Array.of_list vbns) ())
+  Sync.Channel.send vs.cache (Bucket.make ~target:(Bucket.Virt { vol = Volume.id vs.vol }) ~vbns ())
 
 (* The cursor is cheap shared state (an atomic word in a real kernel),
    but the map scan it steers must run under the Range affinity that owns
@@ -294,14 +305,7 @@ let refill_virt t vs ~under =
 
 let commit_virt_bucket t vs ~under bucket =
   Engine.consume (t.cost.Cost.bucket_fixed +. t.cost.Cost.summary_update);
-  if not (Bucket.is_committed bucket) then begin
-    let used = Bucket.consumed bucket in
-    let n = charge_bit_updates t used in
-    List.iter (fun v -> Aggregate.commit_alloc_vvbn t.agg ~vol:vs.vol v) used;
-    t.n_allocated <- t.n_allocated + n
-  end
-  else t.n_allocated <- t.n_allocated + Bucket.consumed_count bucket;
-  t.n_committed <- t.n_committed + 1;
+  commit_bucket t bucket (fun v -> Aggregate.commit_alloc_vvbn t.agg ~vol:vs.vol v);
   refill_virt t vs ~under
 
 (* --- public operations -------------------------------------------------- *)
@@ -323,7 +327,8 @@ let put t bucket =
   match Bucket.target bucket with
   | Bucket.Phys { rg; drive = _ } ->
       let st = t.rgs.(rg) in
-      let sample = match Bucket.consumed bucket with v :: _ -> v | [] -> snd (List.hd st.drives) in
+      let first = Bucket.first_consumed bucket in
+      let sample = if first >= 0 then first else snd (List.hd st.drives) in
       post_commit t ~affinity:(phys_affinity t ~sample_vbn:sample) (fun () ->
           commit_phys_bucket t st bucket)
   | Bucket.Virt { vol } ->
@@ -332,23 +337,26 @@ let put t bucket =
         | Some vs -> vs
         | None -> invalid_arg "Infra.put: unknown volume"
       in
-      let sample = match Bucket.consumed bucket with v :: _ -> v | [] -> 0 in
+      let sample = max 0 (Bucket.first_consumed bucket) in
       let affinity = virt_affinity t ~vol ~sample_vvbn:sample in
       post_commit t ~affinity (fun () -> commit_virt_bucket t vs ~under:affinity bucket)
 
 (* Split a free batch by Range affinity so independent ranges commit in
-   parallel; within one message, charge per distinct metafile block. *)
+   parallel; within one message, charge per distinct metafile block.
+   Groups come in ascending range order and keep the batch's order. *)
 let group_by_range t vbns =
-  let tbl = Hashtbl.create 8 in
-  List.iter
+  let range v = v / Layout.bits_per_map_block mod t.cfg.ranges in
+  let counts = Array.make t.cfg.ranges 0 in
+  Array.iter (fun v -> counts.(range v) <- counts.(range v) + 1) vbns;
+  let groups = Array.map (fun n -> Array.make n 0) counts in
+  Array.fill counts 0 t.cfg.ranges 0;
+  Array.iter
     (fun v ->
-      let r = v / Layout.bits_per_map_block mod t.cfg.ranges in
-      let cur = Option.value ~default:[] (Hashtbl.find_opt tbl r) in
-      Hashtbl.replace tbl r (v :: cur))
+      let r = range v in
+      groups.(r).(counts.(r)) <- v;
+      counts.(r) <- counts.(r) + 1)
     vbns;
-  (* lint-ok: sorted before use. *)
-  Hashtbl.fold (fun r vs acc -> (r, List.rev vs) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  List.filter (fun g -> Array.length g > 0) (Array.to_list groups)
 
 (* A loose-accounting token is staged by its owning cleaner while commit
    messages flush it — concurrent by design, with atomic deltas in a real
@@ -361,7 +369,7 @@ let token_probe t ~owner =
   | _ -> ()
 
 let commit_frees ?owner t ~target ~vbns ~token =
-  if vbns <> [] then begin
+  if Array.length vbns > 0 then begin
     let flush_token () =
       token_probe t ~owner;
       let updates = Counters.flush (Aggregate.counters t.agg) token in
@@ -369,27 +377,28 @@ let commit_frees ?owner t ~target ~vbns ~token =
     in
     let groups =
       if t.cfg.parallel then group_by_range t vbns
-      else [ (0, vbns) ] (* serialized infrastructure: one message *)
+      else [ vbns ] (* serialized infrastructure: one message *)
     in
     let first = ref true in
     List.iter
-      (fun (_, group) ->
+      (fun group ->
         let apply_token = !first in
         first := false;
         let affinity, commit_one =
           match target with
           | Stage.Phys ->
-              ( phys_affinity t ~sample_vbn:(List.hd group),
+              ( phys_affinity t ~sample_vbn:group.(0),
                 fun v -> Aggregate.commit_free_pvbn t.agg v )
           | Stage.Virt { vol } ->
               let v = Aggregate.volume_exn t.agg vol in
-              ( virt_affinity t ~vol ~sample_vvbn:(List.hd group),
+              ( virt_affinity t ~vol ~sample_vvbn:group.(0),
                 fun vvbn -> Aggregate.commit_free_vvbn t.agg ~vol:v vvbn )
         in
         post_commit t ~affinity (fun () ->
             Engine.consume t.cost.Cost.stage_commit_fixed;
-            let n = charge_bit_updates t group in
-            List.iter commit_one group;
+            let n = Array.length group in
+            charge_bit_updates t group n;
+            Array.iter commit_one group;
             t.n_freed <- t.n_freed + n;
             if apply_token then flush_token ()))
       groups
@@ -478,7 +487,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) sched agg cfg =
           filled = [];
           tetris =
             Tetris.create ~obs eng ~cost:(Aggregate.cost agg) ~raid:(Aggregate.raid agg ~rg)
-              ~expected_buckets:0;
+              ~expected_buckets:0 ~blocks:0;
         })
   in
   let t =

@@ -50,7 +50,7 @@ val put : t -> Bucket.t -> unit
     infrastructure message; does not block). *)
 
 val commit_frees :
-  ?owner:int -> t -> target:Stage.target -> vbns:int list -> token:Wafl_fs.Counters.token -> unit
+  ?owner:int -> t -> target:Stage.target -> vbns:int array -> token:Wafl_fs.Counters.token -> unit
 (** Post messages committing staged frees to the allocation metafiles,
     split by metafile block range so they parallelize across Range
     affinities.  Also applies the cleaner's loose-accounting token.

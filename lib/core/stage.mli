@@ -20,7 +20,8 @@ val is_empty : t -> bool
 
 val add : t -> int -> [ `Ok | `Full ]
 (** Push a freed VBN; [`Full] means the stage just reached capacity and
-    must be drained now. *)
+    must be drained before the next [add]. *)
 
-val drain : t -> int list
-(** Take every staged VBN (ascending) and empty the stage. *)
+val drain : t -> int array
+(** Take every staged VBN (ascending, a fresh array) and empty the
+    stage. *)

@@ -17,8 +17,11 @@ val create :
   cost:Wafl_sim.Cost.t ->
   raid:Wafl_fs.Layout.block Wafl_storage.Raid.t ->
   expected_buckets:int ->
+  blocks:int ->
   t
-(** [obs] (default disabled) records the tetris fill — blocks accumulated
+(** [blocks] sizes the block buffers: the VBNs of the cycle's buckets,
+    which bounds what can be enqueued (the buffers grow if exceeded).
+    [obs] (default disabled) records the tetris fill — blocks accumulated
     per submitted I/O — in the ["tetris.fill_blocks"] histogram, the
     quantity behind the full-vs-partial-stripe mix. *)
 

@@ -1,4 +1,5 @@
 open Wafl_storage
+open Wafl_util
 
 open Wafl_sim
 
@@ -50,10 +51,10 @@ type t = {
   vol_free_cells : (int, int ref) Hashtbl.t; (* vid -> cached vvbn-free cell *)
   (* Union of every snapshot's held words, rebuilt whenever [snaps]
      changes, so [snapshot_held] is one bit test instead of a scan. *)
-  mutable snap_union : int64 array;
+  mutable snap_union : Bitops.words;
   vvbn_region_free : (int, int array) Hashtbl.t; (* vol id -> region free counts *)
   counters : Counters.t;
-  mutable recently_freed : int64 array; (* bitmap over pvbns; never iterated *)
+  recently_freed : Bitops.words; (* bitmap over pvbns; never iterated *)
   mutable last_vol : Volume.t option; (* one-entry [volume] lookup cache *)
   cache : Buffer_cache.t;
   mutable snaps : Snapshot.t list;
@@ -128,10 +129,10 @@ let create ?(nvlog_half = 16384) ?nvlog_watermarks ?(cache_blocks = 65536) ?queu
       vol_free_cells = Hashtbl.create 8;
       free_cell = Counters.cell counters free_counter;
       held_cell = Counters.cell counters "snapshot_held_blocks";
-      snap_union = [||];
+      snap_union = Bytes.empty;
       vvbn_region_free = Hashtbl.create 8;
       counters;
-      recently_freed = Array.make ((Geometry.total_data_blocks geometry + 63) / 64) 0L;
+      recently_freed = Bitops.make_words ((Geometry.total_data_blocks geometry + 63) / 64);
       last_vol = None;
       cache = Buffer_cache.create ~capacity:cache_blocks;
       snaps = [];
@@ -261,8 +262,7 @@ let buffer_cache t = t.cache
    media errors and degraded groups are handled (reconstruction from the
    parity model) instead of silently returning the stored payload. *)
 let read_pvbn t pvbn =
-  let loc = Geometry.locate t.geom pvbn in
-  match Raid.read t.raids.(loc.Geometry.rg) pvbn with
+  match Raid.read t.raids.(Geometry.rg_of t.geom pvbn) pvbn with
   | `Ok p -> Some p
   | `Degraded p -> Some p
   | `Absent -> None
@@ -422,15 +422,16 @@ let wait_for_log_space t =
 
 (* --- physical allocation state --- *)
 
-let aa_of_pvbn t pvbn =
-  let loc = Geometry.locate t.geom pvbn in
-  (loc.Geometry.rg, Geometry.aa_of_dbn t.geom loc.Geometry.dbn)
+(* Add [delta] to the free count of the Allocation Area holding [pvbn]. *)
+let adjust_aa_free t pvbn delta =
+  let counts = t.aa_free_tbl.(Geometry.rg_of t.geom pvbn) in
+  let aa = Geometry.aa_of_dbn t.geom (Geometry.dbn_of t.geom pvbn) in
+  counts.(aa) <- counts.(aa) + delta
 
 let commit_alloc_pvbn t pvbn =
   if Engine.sanitizing t.eng then Engine.probe_locked t.eng ~shared:(pvbn_domain pvbn) Race.Write;
   Bitmap_file.set t.agg_map pvbn;
-  let rg, aa = aa_of_pvbn t pvbn in
-  t.aa_free_tbl.(rg).(aa) <- t.aa_free_tbl.(rg).(aa) - 1;
+  adjust_aa_free t pvbn (-1);
   t.free_cell := !(t.free_cell) - 1
 
 let vol_free_cell t vid =
@@ -439,18 +440,19 @@ let vol_free_cell t vid =
   | None -> invalid_arg "Aggregate: unregistered volume"
 
 let snapshot_held t pvbn =
-  let w = pvbn lsr 6 in
-  w < Array.length t.snap_union
-  && Int64.logand t.snap_union.(w) (Int64.shift_left 1L (pvbn land 63)) <> 0L
+  pvbn lsr 6 < Bitops.word_count t.snap_union && Bitops.test_bit t.snap_union pvbn
 
 let rebuild_snap_union t =
   let len =
-    List.fold_left (fun m s -> max m (Array.length (Snapshot.held_words s))) 0 t.snaps
+    List.fold_left (fun m s -> max m (Bitops.word_count (Snapshot.held_words s))) 0 t.snaps
   in
-  let u = Array.make len 0L in
+  let u = Bitops.make_words len in
   List.iter
     (fun s ->
-      Array.iteri (fun i x -> u.(i) <- Int64.logor u.(i) x) (Snapshot.held_words s))
+      let held = Snapshot.held_words s in
+      for i = 0 to Bitops.word_count held - 1 do
+        Bitops.set_word u i (Int64.logor (Bitops.word u i) (Bitops.word held i))
+      done)
     t.snaps;
   t.snap_union <- u
 
@@ -467,21 +469,19 @@ let commit_free_pvbn t pvbn =
        it: not reusable, not free space. *)
     t.held_cell := !(t.held_cell) + 1
   else begin
-    let rg, aa = aa_of_pvbn t pvbn in
-    t.aa_free_tbl.(rg).(aa) <- t.aa_free_tbl.(rg).(aa) + 1;
+    adjust_aa_free t pvbn 1;
     t.free_cell := !(t.free_cell) + 1
   end;
-  let w = pvbn lsr 6 in
-  t.recently_freed.(w) <- Int64.logor t.recently_freed.(w) (Int64.shift_left 1L (pvbn land 63));
+  Bitops.set_bit t.recently_freed pvbn;
   (* TRIM: the flash page backing a freed block is dead — without this
      the FTL's GC would keep relocating pages the file system no longer
      references, and the device-fill axis would only ever grow. *)
   if t.flash_on then
-    Raid.trim t.raids.((Geometry.locate t.geom pvbn).Geometry.rg) pvbn
+    Raid.trim t.raids.(Geometry.rg_of t.geom pvbn) pvbn
 
 let pvbn_allocatable t pvbn =
   (not (Bitmap_file.mem t.agg_map pvbn))
-  && Int64.logand t.recently_freed.(pvbn lsr 6) (Int64.shift_left 1L (pvbn land 63)) = 0L
+  && (not (Bitops.test_bit t.recently_freed pvbn))
   && not (snapshot_held t pvbn)
 
 let region_free t vol =
@@ -651,7 +651,7 @@ let publish_superblock t sb =
   t.cp_count <- sb.Layout.cp_count;
   if Engine.sanitizing t.eng then Engine.probe_atomic t.eng ~shared:"fs.nvlog";
   Nvlog.cp_commit (nvlog t);
-  Array.fill t.recently_freed 0 (Array.length t.recently_freed) 0L;
+  Bitops.clear_words t.recently_freed;
   List.iter
     (fun (_, v) ->
       Volume.clear_recent_frees v;
@@ -697,21 +697,19 @@ let delete_snapshot t snap =
   let words = Snapshot.held_words snap in
   let active = Bitmap_file.snapshot_words t.agg_map in
   let released = ref 0 in
-  Array.iteri
-    (fun w snap_word ->
-      let candidates = Int64.logand snap_word (Int64.lognot active.(w)) in
-      if candidates <> 0L then
-        for i = 0 to 63 do
-          if Wafl_util.Bitops.get candidates i then begin
-            let pvbn = (w * 64) + i in
-            if Geometry.vbn_valid t.geom pvbn && not (snapshot_held t pvbn) then begin
-              let rg, aa = aa_of_pvbn t pvbn in
-              t.aa_free_tbl.(rg).(aa) <- t.aa_free_tbl.(rg).(aa) + 1;
-              incr released
-            end
+  for w = 0 to Bitops.word_count words - 1 do
+    let candidates = Int64.logand (Bitops.word words w) (Int64.lognot (Bitops.word active w)) in
+    if candidates <> 0L then
+      for i = 0 to 63 do
+        if Bitops.get candidates i then begin
+          let pvbn = (w * 64) + i in
+          if Geometry.vbn_valid t.geom pvbn && not (snapshot_held t pvbn) then begin
+            adjust_aa_free t pvbn 1;
+            incr released
           end
-        done)
-    words;
+        end
+      done
+  done;
   Counters.add t.counters free_counter !released;
   Counters.add t.counters "snapshot_held_blocks" (- !released)
 
@@ -792,10 +790,10 @@ let recover ?(cache_blocks = 65536) ?queue_depth ?obs eng ~cost pers =
       vol_free_cells = Hashtbl.create 8;
       free_cell = Counters.cell counters free_counter;
       held_cell = Counters.cell counters "snapshot_held_blocks";
-      snap_union = [||];
+      snap_union = Bytes.empty;
       vvbn_region_free = Hashtbl.create 8;
       counters;
-      recently_freed = Array.make ((Geometry.total_data_blocks geom + 63) / 64) 0L;
+      recently_freed = Bitops.make_words ((Geometry.total_data_blocks geom + 63) / 64);
       last_vol = None;
       cache = Buffer_cache.create ~capacity:cache_blocks;
       snaps = [];
@@ -910,8 +908,7 @@ let recover ?(cache_blocks = 65536) ?queue_depth ?obs eng ~cost pers =
       for pvbn = 0 to Geometry.total_data_blocks geom - 1 do
         if (not (Bitmap_file.mem t.agg_map pvbn)) && snapshot_held t pvbn then begin
           incr held;
-          let rg, aa = aa_of_pvbn t pvbn in
-          t.aa_free_tbl.(rg).(aa) <- t.aa_free_tbl.(rg).(aa) - 1
+          adjust_aa_free t pvbn (-1)
         end
       done;
       Counters.set t.counters "snapshot_held_blocks" !held;
@@ -928,9 +925,8 @@ let recover ?(cache_blocks = 65536) ?queue_depth ?obs eng ~cost pers =
     let per_rg = Array.map (fun _ -> ref []) t.raids in
     for pvbn = Geometry.total_data_blocks geom - 1 downto 0 do
       if Bitmap_file.mem t.agg_map pvbn then begin
-        let loc = Geometry.locate geom pvbn in
-        let lpn = (loc.Geometry.drive * Geometry.drive_blocks geom) + loc.Geometry.dbn in
-        let cell = per_rg.(loc.Geometry.rg) in
+        let lpn = (Geometry.drive_of geom pvbn * Geometry.drive_blocks geom) + Geometry.dbn_of geom pvbn in
+        let cell = per_rg.(Geometry.rg_of geom pvbn) in
         cell := lpn :: !cell
       end
     done;

@@ -4,7 +4,7 @@ let words_per_block = Layout.bits_per_map_block / 64
 
 type t = {
   nbits : int;
-  words : int64 array;
+  words : Bitops.words;
   mutable free : int;
   dirty : (int, unit) Hashtbl.t;
   mutable last_dirty : int; (* last block marked; skips the replace *)
@@ -16,7 +16,7 @@ let create ~bits =
   if bits <= 0 then invalid_arg "Bitmap_file.create: bits must be positive";
   {
     nbits = bits;
-    words = Array.make ((bits + 63) / 64) 0L;
+    words = Bitops.make_words ((bits + 63) / 64);
     free = bits;
     dirty = Hashtbl.create 64;
     last_dirty = -1;
@@ -34,27 +34,29 @@ let check t bit =
 
 let mem t bit =
   check t bit;
-  Bitops.get t.words.(bit / 64) (bit mod 64)
+  Bitops.test_bit t.words bit
 
-let touch t bit = Hashtbl.replace t.dirty (block_of_bit bit) ()
+let mark_dirty t i =
+  if i <> t.last_dirty then begin
+    Hashtbl.replace t.dirty i ();
+    t.last_dirty <- i
+  end
 
 let set t bit =
   check t bit;
-  let w = bit / 64 and i = bit mod 64 in
-  if Bitops.get t.words.(w) i then
+  if Bitops.test_bit t.words bit then
     invalid_arg (Printf.sprintf "Bitmap_file.set: bit %d already allocated" bit);
-  t.words.(w) <- Bitops.set t.words.(w) i;
+  Bitops.set_bit t.words bit;
   t.free <- t.free - 1;
-  touch t bit
+  mark_dirty t (block_of_bit bit)
 
 let clear t bit =
   check t bit;
-  let w = bit / 64 and i = bit mod 64 in
-  if not (Bitops.get t.words.(w) i) then
+  if not (Bitops.test_bit t.words bit) then
     invalid_arg (Printf.sprintf "Bitmap_file.clear: bit %d already free" bit);
-  t.words.(w) <- Bitops.clear t.words.(w) i;
+  Bitops.clear_bit t.words bit;
   t.free <- t.free + 1;
-  touch t bit
+  mark_dirty t (block_of_bit bit)
 
 let free_count t = t.free
 let used_count t = t.nbits - t.free
@@ -63,26 +65,26 @@ let find_free t ~lo ~hi ~start =
   check t lo;
   check t hi;
   let from = max lo start in
-  if from > hi then None
+  if from > hi then -1
   else begin
-    let result = ref None in
+    let result = ref (-1) in
     let w = ref (from / 64) in
     let first_bit = from mod 64 in
     let last_word = hi / 64 in
     (* First, the partial word. *)
     t.scanned <- t.scanned + 1;
-    (match Bitops.find_next_zero t.words.(!w) first_bit with
+    (match Bitops.find_next_zero_at t.words !w first_bit with
     | -1 -> incr w
     | i ->
         let bit = (!w * 64) + i in
-        if bit <= hi then result := Some bit else w := last_word + 1);
-    while !result = None && !w <= last_word do
+        if bit <= hi then result := bit else w := last_word + 1);
+    while !result < 0 && !w <= last_word do
       t.scanned <- t.scanned + 1;
-      (match Bitops.find_first_zero t.words.(!w) with
+      (match Bitops.find_first_zero_at t.words !w with
       | -1 -> ()
       | i ->
           let bit = (!w * 64) + i in
-          if bit <= hi then result := Some bit else w := last_word);
+          if bit <= hi then result := bit else w := last_word);
       incr w
     done;
     !result
@@ -98,7 +100,7 @@ let count_free_in t ~lo ~hi =
   while !bit <= hi do
     if !bit mod 64 = 0 && !bit + 63 <= hi then begin
       t.scanned <- t.scanned + 1;
-      count := !count + (64 - Bitops.popcount t.words.(!bit / 64));
+      count := !count + (64 - Bitops.popcount_at t.words (!bit / 64));
       bit := !bit + 64
     end
     else begin
@@ -118,34 +120,32 @@ let dirty_blocks_desc t =
   |> List.sort (fun a b -> Int.compare b a)
 
 let dirty_count t = Hashtbl.length t.dirty
-let mark_dirty t i =
-  if i <> t.last_dirty then begin
-    Hashtbl.replace t.dirty i ();
-    t.last_dirty <- i
-  end
 
 let clear_dirty t =
   Hashtbl.clear t.dirty;
   t.last_dirty <- -1
 
+let block_words t i =
+  let off = i * words_per_block in
+  (off, min words_per_block (Bitops.word_count t.words - off))
+
 let words_of_block t i =
   if i < 0 || i >= nblocks t then invalid_arg "Bitmap_file.words_of_block: bad block";
-  let off = i * words_per_block in
-  let len = min words_per_block (Array.length t.words - off) in
-  Array.sub t.words off len
+  let off, len = block_words t i in
+  Bytes.sub t.words (off * 8) (len * 8)
 
 let load_block t i payload =
   if i < 0 || i >= nblocks t then invalid_arg "Bitmap_file.load_block: bad block";
-  let off = i * words_per_block in
-  let len = min words_per_block (Array.length t.words - off) in
-  if Array.length payload <> len then invalid_arg "Bitmap_file.load_block: size mismatch";
+  let off, len = block_words t i in
+  if Bitops.word_count payload <> len then invalid_arg "Bitmap_file.load_block: size mismatch";
   (* Maintain the free count incrementally. *)
   for j = 0 to len - 1 do
-    t.free <- t.free + Bitops.popcount t.words.(off + j) - Bitops.popcount payload.(j);
-    t.words.(off + j) <- payload.(j)
+    let x = Bitops.word payload j in
+    t.free <- t.free + Bitops.popcount (Bitops.word t.words (off + j)) - Bitops.popcount x;
+    Bitops.set_word t.words (off + j) x
   done
 
-let snapshot_words t = Array.copy t.words
+let snapshot_words t = Bytes.copy t.words
 
 let location t i = Intvec.get t.locations i
 

@@ -22,7 +22,7 @@ val block_of_bit : int -> int
 
 val mem : t -> int -> bool
 val set : t -> int -> unit
-(** Raises [Invalid_argument] if the bit is already set — a double
+(** Marks the covering metafile block dirty.  Raises [Invalid_argument] if the bit is already set — a double
     allocation, which must never happen. *)
 
 val clear : t -> int -> unit
@@ -32,9 +32,9 @@ val clear : t -> int -> unit
 val free_count : t -> int
 val used_count : t -> int
 
-val find_free : t -> lo:int -> hi:int -> start:int -> int option
+val find_free : t -> lo:int -> hi:int -> start:int -> int
 (** Lowest clear bit in [\[max lo start, hi\]], scanning word-at-a-time.
-    [None] when the range is fully allocated. *)
+    -1 when the range is fully allocated. *)
 
 val count_free_in : t -> lo:int -> hi:int -> int
 val words_scanned : t -> int
@@ -56,14 +56,14 @@ val mark_dirty : t -> int -> unit
 (** Explicitly dirty a block (used when relocating the block itself). *)
 
 val clear_dirty : t -> unit
-val words_of_block : t -> int -> int64 array
+val words_of_block : t -> int -> Wafl_util.Bitops.words
 (** Copy of the words backing metafile block [i], for serialization. *)
 
-val snapshot_words : t -> int64 array
+val snapshot_words : t -> Wafl_util.Bitops.words
 (** Copy of the whole bit array; used to capture the block-usage state a
     snapshot pins. *)
 
-val load_block : t -> int -> int64 array -> unit
+val load_block : t -> int -> Wafl_util.Bitops.words -> unit
 (** Overwrite block [i]'s words from a disk payload (recovery). *)
 
 val location : t -> int -> int

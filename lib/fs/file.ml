@@ -57,8 +57,17 @@ let cp_snapshot t =
   t.cp_outstanding <- true
 
 let cp_buffers t =
-  Hashtbl.fold (fun fbn content acc -> (fbn, content) :: acc) t.cp [] (* lint-ok: sorted *)
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  let fbns = Array.make (Hashtbl.length t.cp) 0 in
+  let n = ref 0 in
+  Hashtbl.iter (* lint-ok: sorted below *)
+    (fun fbn _ ->
+      fbns.(!n) <- fbn;
+      incr n)
+    t.cp;
+  (* [stable_sort] allocates one half-length buffer; [sort] (a heap sort)
+     allocates an exception on most sift steps. *)
+  Array.stable_sort Int.compare fbns;
+  (fbns, Array.map (fun fbn -> Hashtbl.find t.cp fbn) fbns)
 
 let cp_buffer_count t = Hashtbl.length t.cp
 

@@ -40,10 +40,10 @@ val cp_snapshot : t -> unit
 (** Swap front into the CP table.  Raises [Invalid_argument] if a CP
     snapshot is still outstanding. *)
 
-val cp_buffers : t -> (int * int64) list
-(** The snapshot's (fbn, content) pairs in ascending fbn order — the
-    cleaning order, which makes consecutive file blocks land on
-    consecutive bucket VBNs. *)
+val cp_buffers : t -> int array * int64 array
+(** The snapshot's fbns in ascending order — the cleaning order, which
+    makes consecutive file blocks land on consecutive bucket VBNs — and
+    their contents, in parallel arrays. *)
 
 val cp_buffer_count : t -> int
 val cp_done : t -> unit

@@ -10,8 +10,8 @@ type block =
   | Bmap of { vol : int; file : int; index : int; entries : int array }
   | Inode_chunk of { vol : int; index : int; inodes : inode_rec list }
   | Container of { vol : int; index : int; entries : int array }
-  | Vol_map of { vol : int; index : int; words : int64 array }
-  | Agg_map of { index : int; words : int64 array }
+  | Vol_map of { vol : int; index : int; words : Wafl_util.Bitops.words }
+  | Agg_map of { index : int; words : Wafl_util.Bitops.words }
 
 type vol_rec = {
   vol_id : int;

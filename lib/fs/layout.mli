@@ -37,9 +37,9 @@ type block =
   | Inode_chunk of { vol : int; index : int; inodes : inode_rec list }
   | Container of { vol : int; index : int; entries : int array }
       (** vvbn -> pvbn translations (-1 = unmapped). *)
-  | Vol_map of { vol : int; index : int; words : int64 array }
+  | Vol_map of { vol : int; index : int; words : Wafl_util.Bitops.words }
       (** Volume activemap chunk (vvbn allocation bitmap). *)
-  | Agg_map of { index : int; words : int64 array }
+  | Agg_map of { index : int; words : Wafl_util.Bitops.words }
       (** Aggregate activemap chunk (pvbn allocation bitmap). *)
 
 type vol_rec = {

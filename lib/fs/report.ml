@@ -37,19 +37,19 @@ let snapshots agg =
           let words = Snapshot.held_words s in
           let active = Aggregate.agg_map agg in
           let held = ref 0 in
-          Array.iteri
-            (fun w word ->
-              if word <> 0L then
-                for i = 0 to 63 do
-                  if Wafl_util.Bitops.get word i then begin
-                    let pvbn = (w * 64) + i in
-                    if
-                      Geometry.vbn_valid (Aggregate.geometry agg) pvbn
-                      && not (Bitmap_file.mem active pvbn)
-                    then incr held
-                  end
-                done)
-            words;
+          for w = 0 to Wafl_util.Bitops.word_count words - 1 do
+            let word = Wafl_util.Bitops.word words w in
+            if word <> 0L then
+              for i = 0 to 63 do
+                if Wafl_util.Bitops.get word i then begin
+                  let pvbn = (w * 64) + i in
+                  if
+                    Geometry.vbn_valid (Aggregate.geometry agg) pvbn
+                    && not (Bitmap_file.mem active pvbn)
+                  then incr held
+                end
+              done
+          done;
           Buffer.add_string buf
             (Printf.sprintf "snapshot %-16s generation %-5d holds %d otherwise-free blocks\n"
                (Snapshot.name s) (Snapshot.generation s) !held))

@@ -1,6 +1,6 @@
 open Wafl_util
 
-type t = { name : string; sb : Layout.superblock; words : int64 array }
+type t = { name : string; sb : Layout.superblock; words : Bitops.words }
 
 let make ~name ~sb ~words = { name; sb; words }
 let name t = t.name
@@ -9,7 +9,7 @@ let superblock t = t.sb
 
 let holds t pvbn =
   let w = pvbn / 64 in
-  w >= 0 && w < Array.length t.words && Bitops.get t.words.(w) (pvbn mod 64)
+  w >= 0 && w < Bitops.word_count t.words && Bitops.test_bit t.words pvbn
 
 let held_words t = t.words
 

@@ -13,7 +13,7 @@
 
 type t
 
-val make : name:string -> sb:Layout.superblock -> words:int64 array -> t
+val make : name:string -> sb:Layout.superblock -> words:Wafl_util.Bitops.words -> t
 val name : t -> string
 val generation : t -> int
 (** The CP generation this snapshot pins. *)
@@ -22,7 +22,7 @@ val superblock : t -> Layout.superblock
 val holds : t -> int -> bool
 (** Whether the snapshot references the given pvbn. *)
 
-val held_words : t -> int64 array
+val held_words : t -> Wafl_util.Bitops.words
 (** The raw pinned-block words (not a copy; treat as read-only). *)
 
 val read :

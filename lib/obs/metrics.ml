@@ -7,8 +7,9 @@
    sink as a Chrome counter-event timeseries.  All read-side iteration is
    name-sorted so nothing observable depends on hash order. *)
 
-type counter = { c_name : string; mutable c_value : float }
-type gauge = { g_name : string; mutable g_value : float }
+(* Float-only records are stored flat, so an update never boxes. *)
+type counter = { mutable c_value : float }
+type gauge = { mutable g_value : float }
 type histo = { h_name : string; h_hist : Wafl_util.Histogram.t }
 
 type t = {
@@ -28,7 +29,7 @@ let counter t name =
   match Hashtbl.find_opt t.counters name with
   | Some c -> c
   | None ->
-      let c = { c_name = name; c_value = 0.0 } in
+      let c = { c_value = 0.0 } in
       Hashtbl.add t.counters name c;
       c
 
@@ -36,7 +37,7 @@ let gauge t name =
   match Hashtbl.find_opt t.gauges name with
   | Some g -> g
   | None ->
-      let g = { g_name = name; g_value = 0.0 } in
+      let g = { g_value = 0.0 } in
       Hashtbl.add t.gauges name g;
       g
 

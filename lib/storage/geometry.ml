@@ -1,5 +1,4 @@
 type vbn = int
-type location = { rg : int; drive : int; dbn : int }
 
 type group = { data : int; parity : int; first_drive : int (* global data-drive index *) }
 
@@ -59,20 +58,26 @@ let vbn_of t ~rg ~drive ~dbn =
 
 let vbn_valid t v = v >= 0 && v < total_data_blocks t
 
-let locate t v =
-  if not (vbn_valid t v) then invalid_arg "Geometry.locate: bad vbn";
-  let global_drive, dbn =
-    if t.drive_shift >= 0 then (v lsr t.drive_shift, v land (t.drive_blocks - 1))
-    else (v / t.drive_blocks, v mod t.drive_blocks)
-  in
+(* The three coordinates of a VBN, each computed without allocating:
+   they run once or more per block written, freed or read. *)
+let global_drive t v =
+  if not (vbn_valid t v) then invalid_arg "Geometry: bad vbn";
+  if t.drive_shift >= 0 then v lsr t.drive_shift else v / t.drive_blocks
+
+let rg_of t v =
+  let d = global_drive t v in
   (* RAID groups are few (typically 1-4); a linear scan is clear and fast. *)
-  let rec find rg =
-    let g = t.groups.(rg) in
-    if global_drive < g.first_drive + g.data then
-      { rg; drive = global_drive - g.first_drive; dbn }
-    else find (rg + 1)
-  in
-  find 0
+  let rg = ref 0 in
+  while d >= t.groups.(!rg).first_drive + t.groups.(!rg).data do
+    incr rg
+  done;
+  !rg
+
+let drive_of t v = global_drive t v - t.groups.(rg_of t v).first_drive
+
+let dbn_of t v =
+  if not (vbn_valid t v) then invalid_arg "Geometry: bad vbn";
+  if t.drive_shift >= 0 then v land (t.drive_blocks - 1) else v mod t.drive_blocks
 
 let aa_of_dbn t dbn =
   if dbn < 0 || dbn >= t.drive_blocks then invalid_arg "Geometry.aa_of_dbn: bad dbn";

@@ -15,10 +15,6 @@ type t
 type vbn = int
 (** Physical volume block number; dense in [\[0, total_data_blocks)]. *)
 
-type location = { rg : int; drive : int; dbn : int }
-(** [drive] is the data-drive index within the RAID group; [dbn] is the
-    block offset within the drive. *)
-
 val create :
   ?drive_blocks:int -> ?aa_stripes:int -> raid_groups:(int * int) list -> unit -> t
 (** [create ~raid_groups:\[(d1, p1); (d2, p2)\] ()] builds an aggregate
@@ -40,7 +36,16 @@ val aa_count : t -> int
 (** Allocation Areas per drive. *)
 
 val vbn_of : t -> rg:int -> drive:int -> dbn:int -> vbn
-val locate : t -> vbn -> location
+val rg_of : t -> vbn -> int
+(** RAID group holding the VBN.  [rg_of], [drive_of] and [dbn_of] raise
+    [Invalid_argument] on an invalid VBN and allocate nothing. *)
+
+val drive_of : t -> vbn -> int
+(** Data-drive index of the VBN within its RAID group. *)
+
+val dbn_of : t -> vbn -> int
+(** Block offset of the VBN within its drive. *)
+
 val drive_base : t -> rg:int -> drive:int -> vbn
 (** First VBN of the given drive's contiguous range. *)
 

@@ -2,7 +2,8 @@ open Wafl_sim
 
 type 'b request =
   | Io of {
-      writes : (Geometry.vbn * 'b) list;
+      vbns : Geometry.vbn array;
+      payloads : 'b array; (* same length as [vbns] *)
       on_complete : unit -> unit;
       submitted_at : float;
       h : Wafl_obs.Causal.handoff; (* submitter's causal context *)
@@ -43,20 +44,35 @@ type 'b t = {
 }
 
 (* Count full vs partial stripes in one I/O: a stripe (distinct dbn) is
-   full when every data drive of the group contributes a block. *)
-let stripe_mix t writes =
-  let per_dbn = Hashtbl.create 64 in
-  List.iter
-    (fun (vbn, _) ->
-      let loc = Geometry.locate (Disk.geometry t.disk) vbn in
-      if loc.Geometry.rg <> t.rg then invalid_arg "Raid.submit: vbn not in this group";
-      let cur = Option.value ~default:0 (Hashtbl.find_opt per_dbn loc.Geometry.dbn) in
-      Hashtbl.replace per_dbn loc.Geometry.dbn (cur + 1))
-    writes;
-  (* Counting full/partial stripes commutes over the visit order. lint-ok *)
-  Hashtbl.fold
-    (fun _ n (full, partial) -> if n >= t.data_width then (full + 1, partial) else (full, partial + 1))
-    per_dbn (0, 0)
+   full when every data drive of the group contributes a block.  The
+   stripes are the runs of the sorted dbns. *)
+let stripe_mix t vbns =
+  let geom = Disk.geometry t.disk in
+  let dbns =
+    Array.map
+      (fun vbn ->
+        if Geometry.rg_of geom vbn <> t.rg then invalid_arg "Raid.submit: vbn not in this group";
+        Geometry.dbn_of geom vbn)
+      vbns
+  in
+  Array.stable_sort Int.compare dbns;
+  let full = ref 0 and runs = ref 0 and i = ref 0 in
+  let n = Array.length dbns in
+  while !i < n do
+    let j = ref (!i + 1) in
+    while !j < n && dbns.(!j) = dbns.(!i) do
+      incr j
+    done;
+    incr runs;
+    if !j - !i >= t.data_width then incr full;
+    i := !j
+  done;
+  (!full, !runs - !full)
+
+(* FTL logical page number of a VBN: RG-local, one page per data block. *)
+let lpn_of t vbn =
+  let geom = Disk.geometry t.disk in
+  (Geometry.drive_of geom vbn * Geometry.drive_blocks geom) + Geometry.dbn_of geom vbn
 
 (* Reconstruct the lost drive onto a spare, one stripe block at a time.
    Progress lives in the fault plan (it survives a crash; a re-created
@@ -100,7 +116,7 @@ let service_fiber t () =
   let rec loop () =
     match Sync.Channel.recv t.queue with
     | Stop -> ()
-    | Io { writes; on_complete; submitted_at; h } ->
+    | Io { vbns; payloads; on_complete; submitted_at; h } ->
         (* The service fiber picks up the request: the submitter's causal
            context becomes this fiber's, so the I/O span (and the queue
            wait it reveals) attribute to the submitting CP. *)
@@ -133,8 +149,8 @@ let service_fiber t () =
               in
               attempt 0 t.cost.Cost.transient_retry_backoff
         in
-        let full, partial = stripe_mix t writes in
-        let nblocks = List.length writes in
+        let full, partial = stripe_mix t vbns in
+        let nblocks = Array.length vbns in
         let service =
           t.cost.Cost.device_base_latency
           +. (float_of_int nblocks *. t.cost.Cost.device_write_per_block)
@@ -158,32 +174,30 @@ let service_fiber t () =
                in
                if t.causal_on then ("wait_us", wait) :: base else base)
             ();
-        let failed, ok =
-          match outcome with
-          | `Give_up -> (writes, []) (* retries exhausted: nothing became durable *)
-          | `Proceed ->
-              List.partition
-                (fun (vbn, _) ->
-                  match fault with Some f when Fault.write_fails f vbn -> true | _ -> false)
-                writes
+        (* A write is durable unless retries were exhausted (nothing
+           became durable) or the fault plan fails its sector. *)
+        let durable i =
+          match (outcome, fault) with
+          | `Give_up, _ -> false
+          | `Proceed, None -> true
+          | `Proceed, Some f -> not (Fault.write_fails f vbns.(i))
         in
-        List.iter (fun (vbn, payload) -> Disk.write t.disk vbn payload) ok;
+        let programs = ref [] in
+        for i = 0 to nblocks - 1 do
+          if durable i then begin
+            Disk.write t.disk vbns.(i) payloads.(i);
+            if t.flash <> None then
+              programs := (lpn_of t vbns.(i), t.stream_of payloads.(i)) :: !programs
+          end
+          else t.failed_writes <- (vbns.(i), payloads.(i)) :: t.failed_writes
+        done;
         (* With a flash model attached, the durable writes also program
            NAND pages: this charges program time and any GC-induced stall
            before on_complete, so media push-back shows up in CP write
            latency. *)
         (match t.flash with
         | None -> ()
-        | Some ftl ->
-            let geom = Disk.geometry t.disk in
-            let db = Geometry.drive_blocks geom in
-            Wafl_flash.Ftl.host_write ftl
-              (List.map
-                 (fun (vbn, payload) ->
-                   let loc = Geometry.locate geom vbn in
-                   ((loc.Geometry.drive * db) + loc.Geometry.dbn, t.stream_of payload))
-                 ok));
-        if failed <> [] then t.failed_writes <- List.rev_append failed t.failed_writes;
+        | Some ftl -> Wafl_flash.Ftl.host_write ftl (List.rev !programs));
         t.ios <- t.ios + 1;
         t.blocks <- t.blocks + nblocks;
         t.full <- t.full + full;
@@ -247,12 +261,6 @@ let rg t = t.rg
 let flash t = t.flash
 let set_stream_of t f = t.stream_of <- f
 
-(* FTL logical page number of a VBN: RG-local, one page per data block. *)
-let lpn_of t vbn =
-  let geom = Disk.geometry t.disk in
-  let loc = Geometry.locate geom vbn in
-  (loc.Geometry.drive * Geometry.drive_blocks geom) + loc.Geometry.dbn
-
 let trim t vbn =
   match t.flash with
   | None -> ()
@@ -260,8 +268,8 @@ let trim t vbn =
 
 let read t vbn =
   let geom = Disk.geometry t.disk in
-  let loc = Geometry.locate geom vbn in
-  if loc.Geometry.rg <> t.rg then invalid_arg "Raid.read: vbn not in this group";
+  if Geometry.rg_of geom vbn <> t.rg then invalid_arg "Raid.read: vbn not in this group";
+  let drive = Geometry.drive_of geom vbn and dbn = Geometry.dbn_of geom vbn in
   check_failure t;
   match Disk.fault t.disk with
   | None -> ( match Disk.read t.disk vbn with Some p -> `Ok p | None -> `Absent)
@@ -272,7 +280,7 @@ let read t vbn =
       let on_failed_drive =
         match failure with
         | Some f ->
-            f.Fault.fail_drive = loc.Geometry.drive && loc.Geometry.dbn >= f.Fault.rebuilt_to
+            f.Fault.fail_drive = drive && dbn >= f.Fault.rebuilt_to
         | None -> false
       in
       if on_failed_drive then begin
@@ -280,11 +288,9 @@ let read t vbn =
            media error on any of them makes the stripe unrecoverable. *)
         let peers_clean =
           List.for_all
-            (fun (drive, _) ->
-              drive = loc.Geometry.drive
-              || not
-                   (Fault.media_error fault
-                      (Geometry.vbn_of geom ~rg:t.rg ~drive ~dbn:loc.Geometry.dbn)))
+            (fun (peer, _) ->
+              peer = drive
+              || not (Fault.media_error fault (Geometry.vbn_of geom ~rg:t.rg ~drive:peer ~dbn)))
             (Geometry.drives_of_rg geom ~rg:t.rg)
         in
         if not peers_clean then begin
@@ -307,8 +313,7 @@ let read t vbn =
             let failed_peer_needed =
               match failure with
               | Some f ->
-                  f.Fault.fail_drive <> loc.Geometry.drive
-                  && loc.Geometry.dbn >= f.Fault.rebuilt_to
+                  f.Fault.fail_drive <> drive && dbn >= f.Fault.rebuilt_to
               | None -> false
             in
             if failed_peer_needed then begin
@@ -324,15 +329,18 @@ let read t vbn =
               match Disk.read t.disk vbn with Some p -> `Degraded p | None -> `Absent
             end)
 
-let submit t ~writes ~on_complete =
-  if writes = [] then on_complete ()
+let submit t ~vbns ~payloads ~on_complete =
+  if Array.length vbns <> Array.length payloads then
+    invalid_arg "Raid.submit: vbns and payloads differ in length";
+  if Array.length vbns = 0 then on_complete ()
   else begin
     Engine.consume t.cost.Cost.raid_io_dispatch;
     t.outstanding <- t.outstanding + 1;
     Sync.Channel.send t.queue
       (Io
          {
-           writes;
+           vbns;
+           payloads;
            on_complete;
            submitted_at = Engine.now t.eng;
            h = Wafl_obs.Causal.capture t.obs ~kind:"raid";

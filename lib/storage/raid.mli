@@ -61,12 +61,20 @@ val read : 'b t -> Geometry.vbn -> [ `Ok of 'b | `Degraded of 'b | `Absent | `Lo
     this is exactly {!Disk.read}.  Usable outside fiber context (it
     never charges CPU); every VBN must belong to this group. *)
 
-val submit : 'b t -> writes:(Geometry.vbn * 'b) list -> on_complete:(unit -> unit) -> unit
-(** Enqueue one tetris I/O.  Charges the submitting fiber the CPU dispatch
+val submit :
+  'b t -> vbns:Geometry.vbn array -> payloads:'b array -> on_complete:(unit -> unit) -> unit
+(** Enqueue one tetris I/O writing [payloads.(i)] at [vbns.(i)]; the
+    arrays must have equal lengths and are owned by the I/O from here on.
+    Charges the submitting fiber the CPU dispatch
     cost; device service happens asynchronously in virtual time.
     [on_complete] runs in a service-fiber context after the payloads are
     durable — it must only update counters / wake fibers.  Every VBN must
     belong to this RAID group. *)
+
+val stripe_mix : 'b t -> Geometry.vbn array -> int * int
+(** [(full, partial)] stripes an I/O writing these VBNs covers: a stripe
+    (distinct dbn) is full when every data drive contributes a block.
+    Raises [Invalid_argument] on a VBN outside this group. *)
 
 val quiesce : 'b t -> unit
 (** Park until all submitted I/Os have completed. *)

@@ -41,3 +41,22 @@ let find_next_zero w i =
 let get w i = Int64.logand (Int64.shift_right_logical w i) 1L = 1L
 let set w i = Int64.logor w (Int64.shift_left 1L i)
 let clear w i = Int64.logand w (Int64.lognot (Int64.shift_left 1L i))
+
+(* Word arrays live in [Bytes] rather than [int64 array]: an [int64 array]
+   holds boxed words, so every bit flip would allocate a fresh box.  The
+   bit-level operations below take and return only ints and bools: an
+   int64 crossing a module boundary is boxed unless the call is inlined,
+   which dev builds ([-opaque]) never do. *)
+type words = Bytes.t
+
+let make_words n = Bytes.make (n * 8) '\000'
+let word_count b = Bytes.length b lsr 3
+let word b w = Bytes.get_int64_le b (w lsl 3)
+let set_word b w x = Bytes.set_int64_le b (w lsl 3) x
+let test_bit b bit = get (word b (bit lsr 6)) (bit land 63)
+let set_bit b bit = set_word b (bit lsr 6) (set (word b (bit lsr 6)) (bit land 63))
+let clear_bit b bit = set_word b (bit lsr 6) (clear (word b (bit lsr 6)) (bit land 63))
+let find_next_zero_at b w i = find_next_zero (word b w) i
+let find_first_zero_at b w = find_first_zero (word b w)
+let popcount_at b w = popcount (word b w)
+let clear_words b = Bytes.fill b 0 (Bytes.length b) '\000'

@@ -14,19 +14,22 @@ let dummy_tetris eng cost =
   let geom = Geometry.create ~drive_blocks:1024 ~aa_stripes:128 ~raid_groups:[ (2, 1) ] () in
   let disk = Wafl_storage.Disk.create geom in
   let raid = Wafl_storage.Raid.create eng ~cost ~disk ~rg:0 in
-  (Tetris.create eng ~cost ~raid ~expected_buckets:1, disk, raid)
+  (Tetris.create eng ~cost ~raid ~expected_buckets:1 ~blocks:3, disk, raid)
 
 let test_bucket_take_order () =
   let eng = Engine.create ~cores:1 () in
   let tetris, _, _ = dummy_tetris eng Cost.free in
   let b = Bucket.make ~target:phys_target ~tetris ~vbns:[| 10; 11; 13 |] () in
   Alcotest.(check int) "capacity" 3 (Bucket.capacity b);
-  Alcotest.(check (option int)) "first" (Some 10) (Bucket.take b);
-  Alcotest.(check (option int)) "second" (Some 11) (Bucket.take b);
-  Alcotest.(check (list int)) "consumed so far" [ 10; 11 ] (Bucket.consumed b);
+  Alcotest.(check int) "first" 10 (Bucket.take b);
+  Alcotest.(check int) "second" 11 (Bucket.take b);
+  let consumed = ref [] in
+  Bucket.iter_consumed b (fun v -> consumed := v :: !consumed);
+  Alcotest.(check (list int)) "consumed so far" [ 10; 11 ] (List.rev !consumed);
+  Alcotest.(check int) "first consumed" 10 (Bucket.first_consumed b);
   Alcotest.(check (list int)) "unused" [ 13 ] (Bucket.unused b);
-  Alcotest.(check (option int)) "third" (Some 13) (Bucket.take b);
-  Alcotest.(check (option int)) "exhausted" None (Bucket.take b);
+  Alcotest.(check int) "third" 13 (Bucket.take b);
+  Alcotest.(check int) "exhausted" (-1) (Bucket.take b);
   Alcotest.(check bool) "flag" true (Bucket.is_exhausted b)
 
 let test_bucket_kind_constraints () =
@@ -53,7 +56,7 @@ let test_stage_fill_drain () =
   Alcotest.(check bool) "not full" true (Stage.add s 5 = `Ok);
   Alcotest.(check bool) "not full" true (Stage.add s 3 = `Ok);
   Alcotest.(check bool) "full on capacity" true (Stage.add s 9 = `Full);
-  Alcotest.(check (list int)) "drain sorted" [ 3; 5; 9 ] (Stage.drain s);
+  Alcotest.(check (array int)) "drain sorted" [| 3; 5; 9 |] (Stage.drain s);
   Alcotest.(check bool) "empty after drain" true (Stage.is_empty s)
 
 (* --- Tetris --- *)
@@ -67,7 +70,7 @@ let test_tetris_submits_on_last_bucket () =
   ignore
     (Engine.spawn eng ~label:"t" (fun () ->
          let raid = Wafl_storage.Raid.create eng ~cost:Cost.default ~disk ~rg:0 in
-         let tetris = Tetris.create eng ~cost:Cost.default ~raid ~expected_buckets:2 in
+         let tetris = Tetris.create eng ~cost:Cost.default ~raid ~expected_buckets:2 ~blocks:2 in
          Tetris.enqueue tetris ~vbn:0 ~payload:(data 0);
          Tetris.enqueue tetris ~vbn:1024 ~payload:(data 1024);
          Tetris.bucket_done tetris;
@@ -86,7 +89,8 @@ let test_tetris_submit_now_then_more () =
   ignore
     (Engine.spawn eng ~label:"t" (fun () ->
          let raid = Wafl_storage.Raid.create eng ~cost:Cost.default ~disk ~rg:0 in
-         let tetris = Tetris.create eng ~cost:Cost.default ~raid ~expected_buckets:1 in
+         (* [blocks:1] under-sizes the buffer: the late block must grow it. *)
+         let tetris = Tetris.create eng ~cost:Cost.default ~raid ~expected_buckets:1 ~blocks:1 in
          Tetris.enqueue tetris ~vbn:1 ~payload:(data 1);
          Tetris.submit_now tetris;
          (* Late blocks after an early flush are not lost: the next submit
@@ -163,11 +167,11 @@ let test_infra_get_use_put_commit_cycle () =
       let b = Api.get_phys infra in
       let vbns = ref [] in
       (match Api.use b ~payload:(data 0) with
-      | Some v -> vbns := v :: !vbns
-      | None -> Alcotest.fail "empty bucket");
+      | -1 -> Alcotest.fail "empty bucket"
+      | v -> vbns := v :: !vbns);
       (match Api.use b ~payload:(data 1) with
-      | Some v -> vbns := v :: !vbns
-      | None -> Alcotest.fail "empty bucket");
+      | -1 -> Alcotest.fail "empty bucket"
+      | v -> vbns := v :: !vbns);
       (* Consecutive USEs give consecutive VBNs (objective 2). *)
       (match !vbns with
       | [ b1; a ] -> Alcotest.(check int) "contiguous" (a + 1) b1
@@ -205,7 +209,7 @@ let test_infra_frees_committed () =
       (* Allocate a pvbn directly, then free it through the stage path. *)
       Aggregate.commit_alloc_pvbn st.agg 4242;
       let token = Counters.token (Aggregate.counters st.agg) in
-      Infra.commit_frees infra ~target:Stage.Phys ~vbns:[ 4242 ] ~token;
+      Infra.commit_frees infra ~target:Stage.Phys ~vbns:[| 4242 |] ~token;
       Infra.quiesce_commits infra;
       Alcotest.(check bool) "bit cleared" false (Bitmap_file.mem (Aggregate.agg_map st.agg) 4242);
       Alcotest.(check bool) "frozen until CP" false (Aggregate.pvbn_allocatable st.agg 4242))
@@ -215,13 +219,13 @@ let test_infra_virt_bucket_roundtrip () =
   let infra = Walloc.infra st.walloc in
   in_sim st (fun () ->
       let b = Api.get_virt infra st.vol in
-      (match Api.use_virt b with
-      | Some vvbn ->
+      match Api.use_virt b with
+      | -1 -> Alcotest.fail "virt bucket empty"
+      | vvbn ->
           Api.put infra b;
           Infra.quiesce_commits infra;
           Alcotest.(check bool) "vvbn committed" true
-            (Bitmap_file.mem (Volume.vol_map st.vol) vvbn)
-      | None -> Alcotest.fail "virt bucket empty"))
+            (Bitmap_file.mem (Volume.vol_map st.vol) vvbn))
 
 (* --- Cleaner pool --- *)
 
@@ -241,7 +245,16 @@ let test_pool_cleans_and_is_idempotent_on_wait () =
           (fun (vol, files) ->
             List.map
               (fun file ->
-                { Cleaner_pool.vol; file; buffers = File.cp_buffers file; whole_inode = true })
+                let fbns, contents = File.cp_buffers file in
+                {
+                  Cleaner_pool.vol;
+                  file;
+                  fbns;
+                  contents;
+                  pos = 0;
+                  len = Array.length fbns;
+                  whole_inode = true;
+                })
               files)
           snap
       in
@@ -395,6 +408,59 @@ let test_cp_segments_large_inode () =
   Alcotest.(check int) "all buffers cleaned" 450 (Cleaner_pool.buffers_cleaned pool);
   Aggregate.fsck st.agg
 
+(* --- Allocation-free hot primitives --- *)
+
+(* The CP block pipeline runs these once or more per block; none may
+   allocate (DESIGN.md §4.9).  Each runs [n] times; the words allocated,
+   net of the empty probe's own constant, must be 0. *)
+let n = 10_000
+
+let words_allocated f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let check_no_alloc name f =
+  let probe = words_allocated (fun () -> ()) in
+  Alcotest.(check (float 0.0)) (name ^ ": words allocated") 0.0 (words_allocated f -. probe)
+
+let test_primitives_allocate_nothing () =
+  let map = Bitmap_file.create ~bits:(4 * Layout.bits_per_map_block) in
+  (* Dirty the block once so later flips hit the last-block cache. *)
+  Bitmap_file.set map 0;
+  check_no_alloc "Bitmap_file.set" (fun () ->
+      for i = 1 to n do
+        Bitmap_file.set map i
+      done);
+  check_no_alloc "Bitmap_file.mem" (fun () ->
+      for i = 1 to n do
+        ignore (Bitmap_file.mem map i)
+      done);
+  check_no_alloc "Bitmap_file.find_free" (fun () ->
+      for i = 1 to n do
+        ignore (Bitmap_file.find_free map ~lo:0 ~hi:(2 * n) ~start:i)
+      done);
+  check_no_alloc "Bitmap_file.clear" (fun () ->
+      for i = 1 to n do
+        Bitmap_file.clear map i
+      done);
+  let bucket = Bucket.make ~target:(Bucket.Virt { vol = 0 }) ~vbns:(Array.init n Fun.id) () in
+  check_no_alloc "Bucket.take" (fun () ->
+      for _ = 1 to n do
+        ignore (Bucket.take bucket)
+      done);
+  let geom = Geometry.create ~drive_blocks:1024 ~aa_stripes:128 ~raid_groups:[ (4, 1); (3, 1) ] () in
+  check_no_alloc "Geometry.rg_of/dbn_of" (fun () ->
+      for i = 1 to n do
+        ignore (Geometry.rg_of geom (i mod 7168));
+        ignore (Geometry.dbn_of geom (i mod 7168))
+      done);
+  let stage = Stage.create ~target:Stage.Phys ~capacity:n in
+  check_no_alloc "Stage.add" (fun () ->
+      for i = 1 to n do
+        ignore (Stage.add stage i)
+      done)
+
 let () =
   Alcotest.run "wafl_core"
     [
@@ -405,6 +471,11 @@ let () =
           Alcotest.test_case "api kind check" `Quick test_api_use_virt_on_phys_rejected;
         ] );
       ("stage", [ Alcotest.test_case "fill and drain" `Quick test_stage_fill_drain ]);
+      ( "allocation",
+        [
+          Alcotest.test_case "hot primitives allocate nothing" `Quick
+            test_primitives_allocate_nothing;
+        ] );
       ( "tetris",
         [
           Alcotest.test_case "submits on last bucket" `Quick test_tetris_submits_on_last_bucket;

@@ -175,7 +175,7 @@ let test_temperature_classifier () =
   Alcotest.(check int) "bmap hot" 1
     (classify (Wafl_fs.Layout.Bmap { vol = 0; file = 1; index = 0; entries = [||] }));
   Alcotest.(check int) "aggmap hot" 1
-    (classify (Wafl_fs.Layout.Agg_map { index = 0; words = [||] }));
+    (classify (Wafl_fs.Layout.Agg_map { index = 0; words = Bytes.empty }));
   (* First sighting of a data block is cold. *)
   Alcotest.(check int) "first write cold" 0 (classify (data ~fbn:0));
   (* Track a population of blocks, then rewrite one immediately: its

@@ -32,14 +32,14 @@ let test_bitmap_find_free () =
   for i = 0 to 99 do
     Bitmap_file.set b i
   done;
-  Alcotest.(check (option int)) "first free" (Some 100)
+  Alcotest.(check int) "first free" 100
     (Bitmap_file.find_free b ~lo:0 ~hi:1023 ~start:0);
-  Alcotest.(check (option int)) "from start" (Some 200)
+  Alcotest.(check int) "from start" 200
     (Bitmap_file.find_free b ~lo:0 ~hi:1023 ~start:200);
-  Alcotest.(check (option int)) "within used range" None
+  Alcotest.(check int) "within used range" (-1)
     (Bitmap_file.find_free b ~lo:0 ~hi:99 ~start:0);
   Bitmap_file.set b 100;
-  Alcotest.(check (option int)) "skips newly used" (Some 101)
+  Alcotest.(check int) "skips newly used" 101
     (Bitmap_file.find_free b ~lo:0 ~hi:1023 ~start:0)
 
 let test_bitmap_find_free_word_boundaries () =
@@ -48,11 +48,11 @@ let test_bitmap_find_free_word_boundaries () =
   for i = 0 to 255 do
     if i <> 63 && i <> 128 then Bitmap_file.set b i
   done;
-  Alcotest.(check (option int)) "end of word" (Some 63)
+  Alcotest.(check int) "end of word" 63
     (Bitmap_file.find_free b ~lo:0 ~hi:255 ~start:0);
-  Alcotest.(check (option int)) "start of later word" (Some 128)
+  Alcotest.(check int) "start of later word" 128
     (Bitmap_file.find_free b ~lo:0 ~hi:255 ~start:64);
-  Alcotest.(check (option int)) "bounded below 128" None
+  Alcotest.(check int) "bounded below 128" (-1)
     (Bitmap_file.find_free b ~lo:64 ~hi:127 ~start:64)
 
 let test_bitmap_count_free_in () =
@@ -118,8 +118,8 @@ let test_file_write_snapshot_cow () =
   Alcotest.(check int) "cp holds both" 2 (File.cp_buffer_count f);
   (* Write during CP: in-memory COW; snapshot untouched. *)
   File.write f ~fbn:10 ~content:999L;
-  Alcotest.(check (list (pair int int64))) "snapshot unchanged"
-    [ (10, 100L); (11, 110L) ]
+  Alcotest.(check (pair (array int) (array int64))) "snapshot unchanged"
+    ([| 10; 11 |], [| 100L; 110L |])
     (File.cp_buffers f);
   Alcotest.(check (option int64)) "read sees newest" (Some 999L) (File.read_cached f ~fbn:10);
   Alcotest.(check (option int64)) "cp visible through cache" (Some 110L)

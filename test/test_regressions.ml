@@ -196,6 +196,179 @@ let test_no_lost_metafile_blocks_across_crash () =
   Alcotest.(check bool) "thousands of blocks verified" true (!checked > 5000);
   Aggregate.fsck agg2
 
+
+(* Cross-commit golden values.  [test_domains] pins byte-identity across
+   domain counts within one build; nothing else pins a run's simulated
+   outcome across commits.  A change that should only move host cost
+   (allocation, wall time) must leave every figure below untouched: the
+   values were recorded from the code before the allocation-free CP
+   pipeline and must never be re-recorded to make a host-cost change
+   pass.  The three small runs cover the sequential-write stripe path,
+   the read/overwrite metafile path, and open-loop QoS with the flash
+   FTL (GC, TRIM and the temperature stream classifier). *)
+let golden_cfg =
+  {
+    Wafl_core.Walloc.default_config with
+    Wafl_core.Walloc.cleaner_threads = 4;
+    max_cleaner_threads = 8;
+    cp_timer = Some 50_000.0;
+  }
+
+let golden_run workload =
+  {
+    Driver.default_spec with
+    Driver.workload;
+    seed = 7;
+    cores = 8;
+    clients = 12;
+    volumes = 2;
+    geometry = Driver.small_geometry ();
+    cache_blocks = 2048;
+    nvlog_half = 2048;
+    cfg = golden_cfg;
+    warmup = 30_000.0;
+    measure = 120_000.0;
+  }
+
+let golden_specs =
+  [
+    ("seq", golden_run (Driver.Seq_write { file_blocks = 2048 }));
+    ("oltp", golden_run (Driver.Oltp { file_blocks = 2048; read_fraction = 0.67 }));
+    ( "overload+flash",
+      {
+        (golden_run
+           (Driver.Skewed_write { file_blocks = 3072; hot_fraction = 0.1; hot_rate = 0.9 }))
+        with
+        Driver.clients = 6;
+        volumes = 6;
+        nvlog_half = 256;
+        watermarks = Some { Wafl_fs.Nvlog.soft = 0.5; hard = 0.9; pace = 25.0 };
+        open_loop =
+          Some
+            {
+              Driver.arrivals =
+                Arrival.Bursty
+                  {
+                    base_rate = 2_000.0;
+                    burst_rate = 30_000.0;
+                    mean_on_us = 500.0;
+                    mean_off_us = 4_000.0;
+                  }
+                :: List.init 5 (fun _ -> Arrival.Poisson { rate = 1_000.0 });
+              qos = Some { Wafl_qos.Qos.rate_per_s = 15_000.0; burst = 64.0; queue_depth = 4096 };
+            };
+        flash =
+          Some
+            {
+              Wafl_flash.Ftl.default_config with
+              Wafl_flash.Ftl.logical_capacity = 0.33;
+              op_ratio = 0.10;
+              streams = 2;
+              seed = 7;
+            };
+        telemetry = Some Driver.default_telemetry;
+        cfg =
+          {
+            golden_cfg with
+            Wafl_core.Walloc.cleaner_threads = 2;
+            max_cleaner_threads = 4;
+            fair_cp = true;
+            streams = `Temperature;
+          };
+        warmup = 100_000.0;
+        measure = 1_000_000.0;
+      } );
+  ]
+
+type golden = {
+  ops : int;
+  vbns_allocated : int;
+  vbns_freed : int;
+  full_stripes : int;
+  partial_stripes : int;
+  cps : int;
+  flash_gc_pages : int;
+  write_hist : (int * int) list; (* non-zero (bucket, count) pairs *)
+}
+
+let golden_expected =
+  [
+    ( "seq",
+      {
+        ops = 31413;
+        vbns_allocated = 64119;
+        vbns_freed = 64152;
+        full_stripes = 6478;
+        partial_stripes = 2775;
+        cps = 9;
+        flash_gc_pages = 0;
+        write_hist =
+          [ (20, 4252); (21, 106); (22, 129); (23, 160); (24, 312); (25, 441); (26, 6820);
+            (27, 126); (28, 217); (29, 2763); (30, 193); (31, 534); (32, 6977); (33, 581);
+            (34, 4221); (35, 3200); (36, 149); (37, 88); (38, 35); (39, 1); (65, 48); (67, 6);
+            (68, 6); (73, 12); (74, 23); (75, 13) ];
+      } );
+    ( "oltp",
+      {
+        ops = 15405;
+        vbns_allocated = 10719;
+        vbns_freed = 10557;
+        full_stripes = 1111;
+        partial_stripes = 641;
+        cps = 3;
+        flash_gc_pages = 0;
+        write_hist =
+          [ (32, 757); (33, 130); (34, 70); (35, 142); (36, 389); (37, 208); (38, 362);
+            (39, 397); (40, 374); (41, 461); (42, 517); (43, 486); (44, 355); (45, 277);
+            (46, 63); (47, 11) ];
+      } );
+    ( "overload+flash",
+      {
+        ops = 9746;
+        vbns_allocated = 22596;
+        vbns_freed = 18014;
+        full_stripes = 0;
+        partial_stripes = 9670;
+        cps = 56;
+        flash_gc_pages = 2035;
+        write_hist =
+          [ (32, 5301); (33, 808); (34, 712); (35, 379); (36, 190); (37, 190); (38, 152);
+            (39, 148); (40, 144); (41, 139); (42, 133); (43, 145); (44, 137); (45, 151);
+            (46, 127); (47, 136); (48, 148); (49, 119); (50, 112); (51, 81); (52, 73);
+            (53, 53); (54, 39); (55, 29); (56, 31); (57, 14); (58, 18); (59, 3); (60, 3);
+            (61, 1); (62, 4); (63, 4); (64, 1); (65, 2); (67, 1); (68, 2); (69, 4); (70, 3);
+            (71, 2); (72, 2); (73, 5) ];
+      } );
+  ]
+
+let golden_of (r : Driver.result) =
+  let counts = Wafl_util.Histogram.counts r.Driver.write_latency in
+  {
+    ops = r.Driver.ops;
+    vbns_allocated = r.Driver.vbns_allocated;
+    vbns_freed = r.Driver.vbns_freed;
+    full_stripes = r.Driver.full_stripes;
+    partial_stripes = r.Driver.partial_stripes;
+    cps = r.Driver.cps_completed;
+    flash_gc_pages = r.Driver.flash_gc_pages;
+    write_hist =
+      List.filter (fun (_, c) -> c > 0) (List.mapi (fun i c -> (i, c)) (Array.to_list counts));
+  }
+
+let test_golden name () =
+  let spec = List.assoc name golden_specs in
+  let want = List.assoc name golden_expected in
+  let got = golden_of (Driver.run spec) in
+  let check field f = Alcotest.(check int) (name ^ " " ^ field) (f want) (f got) in
+  check "ops" (fun g -> g.ops);
+  check "vbns allocated" (fun g -> g.vbns_allocated);
+  check "vbns freed" (fun g -> g.vbns_freed);
+  check "full stripes" (fun g -> g.full_stripes);
+  check "partial stripes" (fun g -> g.partial_stripes);
+  check "CPs" (fun g -> g.cps);
+  check "flash GC pages" (fun g -> g.flash_gc_pages);
+  Alcotest.(check (list (pair int int))) (name ^ " write latency buckets") want.write_hist got.write_hist
+
 let () =
   Alcotest.run "regressions"
     [
@@ -214,4 +387,8 @@ let () =
           Alcotest.test_case "no lost metafile blocks across crash" `Quick
             test_no_lost_metafile_blocks_across_crash;
         ] );
+      ( "cross-commit golden",
+        List.map
+          (fun (name, _) -> Alcotest.test_case name `Quick (test_golden name))
+          golden_specs );
     ]

@@ -25,10 +25,9 @@ let test_vbn_roundtrip () =
       List.iter
         (fun dbn ->
           let vbn = Geometry.vbn_of g ~rg ~drive ~dbn in
-          let loc = Geometry.locate g vbn in
-          Alcotest.(check int) "rg" rg loc.Geometry.rg;
-          Alcotest.(check int) "drive" drive loc.Geometry.drive;
-          Alcotest.(check int) "dbn" dbn loc.Geometry.dbn)
+          Alcotest.(check int) "rg" rg (Geometry.rg_of g vbn);
+          Alcotest.(check int) "drive" drive (Geometry.drive_of g vbn);
+          Alcotest.(check int) "dbn" dbn (Geometry.dbn_of g vbn))
         [ 0; 1; 255; 4095 ]
     done
   done
@@ -66,15 +65,14 @@ let test_geometry_validation () =
   Alcotest.(check bool) "invalid vbn" false (Geometry.vbn_valid g (7 * 4096));
   Alcotest.(check bool) "valid vbn" true (Geometry.vbn_valid g 0)
 
-let prop_locate_inverts_vbn_of =
-  QCheck.Test.make ~name:"locate inverts vbn_of" ~count:500
+let prop_coordinates_invert_vbn_of =
+  QCheck.Test.make ~name:"rg_of/drive_of/dbn_of invert vbn_of" ~count:500
     QCheck.(triple (int_bound 1) (int_bound 2) (int_bound 4095))
     (fun (rg, drive, dbn) ->
       let g = geom () in
       let drive = drive mod Geometry.data_drives g ~rg in
       let vbn = Geometry.vbn_of g ~rg ~drive ~dbn in
-      let loc = Geometry.locate g vbn in
-      loc.Geometry.rg = rg && loc.Geometry.drive = drive && loc.Geometry.dbn = dbn)
+      Geometry.rg_of g vbn = rg && Geometry.drive_of g vbn = drive && Geometry.dbn_of g vbn = dbn)
 
 (* --- Disk --- *)
 
@@ -101,6 +99,13 @@ let with_engine f =
   Engine.run eng;
   match !result with Some v -> v | None -> Alcotest.fail "test fiber did not finish"
 
+(* One RAID I/O from (vbn, payload) pairs. *)
+let submit raid ~writes ~on_complete =
+  Raid.submit raid
+    ~vbns:(Array.of_list (List.map fst writes))
+    ~payloads:(Array.of_list (List.map snd writes))
+    ~on_complete
+
 let test_raid_write_durable () =
   let g = geom () in
   let d = Disk.create g in
@@ -108,7 +113,7 @@ let test_raid_write_durable () =
       let raid = Raid.create eng ~cost:Cost.default ~disk:d ~rg:0 in
       let writes = List.init 8 (fun i -> (Geometry.vbn_of g ~rg:0 ~drive:(i mod 4) ~dbn:(i / 4), i)) in
       let completed = ref false in
-      Raid.submit raid ~writes ~on_complete:(fun () -> completed := true);
+      submit raid ~writes ~on_complete:(fun () -> completed := true);
       Alcotest.(check bool) "asynchronous" false !completed;
       Raid.quiesce raid;
       Alcotest.(check bool) "completed" true !completed;
@@ -127,7 +132,7 @@ let test_raid_full_vs_partial_stripes () =
         List.init 4 (fun drive -> (Geometry.vbn_of g ~rg:0 ~drive ~dbn:0, drive))
         @ [ (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:1, 99) ]
       in
-      Raid.submit raid ~writes ~on_complete:(fun () -> ());
+      submit raid ~writes ~on_complete:(fun () -> ());
       Raid.quiesce raid;
       Alcotest.(check int) "one full stripe" 1 (Raid.full_stripes raid);
       Alcotest.(check int) "one partial stripe" 1 (Raid.partial_stripes raid);
@@ -144,7 +149,7 @@ let test_raid_partial_pays_parity_penalty () =
           if full then List.init 4 (fun drive -> (Geometry.vbn_of g ~rg:0 ~drive ~dbn:0, drive))
           else List.init 4 (fun dbn -> (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn, dbn))
         in
-        Raid.submit raid ~writes ~on_complete:(fun () -> ());
+        submit raid ~writes ~on_complete:(fun () -> ());
         Raid.quiesce raid;
         Raid.device_busy raid)
   in
@@ -164,7 +169,7 @@ let test_raid_rejects_foreign_vbn () =
     (Engine.spawn eng ~label:"test" (fun () ->
          let raid = Raid.create eng ~cost:Cost.default ~disk:d ~rg:0 in
          let foreign = Geometry.vbn_of g ~rg:1 ~drive:0 ~dbn:0 in
-         Raid.submit raid ~writes:[ (foreign, 0) ] ~on_complete:(fun () -> ())));
+         submit raid ~writes:[ (foreign, 0) ] ~on_complete:(fun () -> ())));
   Alcotest.check_raises "foreign vbn rejected"
     (Invalid_argument "Raid.submit: vbn not in this group") (fun () -> Engine.run eng)
 
@@ -174,7 +179,7 @@ let test_raid_empty_submit_completes_inline () =
   with_engine (fun eng ->
       let raid = Raid.create eng ~cost:Cost.default ~disk:d ~rg:0 in
       let completed = ref false in
-      Raid.submit raid ~writes:[] ~on_complete:(fun () -> completed := true);
+      submit raid ~writes:[] ~on_complete:(fun () -> completed := true);
       Alcotest.(check bool) "inline completion" true !completed;
       Raid.shutdown raid)
 
@@ -184,7 +189,7 @@ let test_raid_many_ios_in_order_counts () =
   with_engine (fun eng ->
       let raid = Raid.create eng ~cost:Cost.default ~disk:d ~rg:0 ~queue_depth:2 in
       for i = 0 to 9 do
-        Raid.submit raid
+        submit raid
           ~writes:[ (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:i, i) ]
           ~on_complete:(fun () -> ())
       done;
@@ -202,7 +207,7 @@ let test_media_error_reconstructed_and_repaired () =
   with_engine (fun eng ->
       let raid = Raid.create eng ~cost:Cost.default ~disk:d ~rg:0 in
       let vbn = Geometry.vbn_of g ~rg:0 ~drive:1 ~dbn:5 in
-      Raid.submit raid ~writes:[ (vbn, 41) ] ~on_complete:(fun () -> ());
+      submit raid ~writes:[ (vbn, 41) ] ~on_complete:(fun () -> ());
       Raid.quiesce raid;
       Fault.add_media_error plan vbn;
       (match Raid.read raid vbn with
@@ -225,7 +230,7 @@ let test_transient_failures_retried_in_virtual_time () =
     with_engine (fun eng ->
         let raid = Raid.create eng ~cost:Cost.default ~disk:d ~rg:0 in
         for i = 0 to 19 do
-          Raid.submit raid
+          submit raid
             ~writes:[ (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:i, i) ]
             ~on_complete:(fun () -> ())
         done;
@@ -255,7 +260,7 @@ let test_disk_failure_degraded_then_rebuilt () =
   with_engine (fun eng ->
       let raid = Raid.create eng ~cost:Cost.default ~disk:d ~rg:0 in
       let vbn = Geometry.vbn_of g ~rg:0 ~drive:2 ~dbn:100 in
-      Raid.submit raid ~writes:[ (vbn, 5) ] ~on_complete:(fun () -> ());
+      submit raid ~writes:[ (vbn, 5) ] ~on_complete:(fun () -> ());
       Raid.quiesce raid;
       Fault.fail_disk plan ~rg:0 ~drive:2 ~at:(Engine.now eng);
       (match Raid.read raid vbn with
@@ -281,7 +286,7 @@ let test_double_failure_is_lost () =
       let raid = Raid.create eng ~cost:Cost.default ~disk:d ~rg:0 in
       let on_failed = Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:9 in
       let peer = Geometry.vbn_of g ~rg:0 ~drive:1 ~dbn:9 in
-      Raid.submit raid ~writes:[ (on_failed, 1); (peer, 2) ] ~on_complete:(fun () -> ());
+      submit raid ~writes:[ (on_failed, 1); (peer, 2) ] ~on_complete:(fun () -> ());
       Raid.quiesce raid;
       Fault.fail_disk plan ~rg:0 ~drive:0 ~at:(Engine.now eng);
       Fault.add_media_error plan peer;
@@ -303,7 +308,7 @@ let test_write_error_lands_in_take_failed () =
       let good = Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:0 in
       let bad = Geometry.vbn_of g ~rg:0 ~drive:1 ~dbn:0 in
       Fault.add_write_error plan bad;
-      Raid.submit raid ~writes:[ (good, 1); (bad, 2) ] ~on_complete:(fun () -> ());
+      submit raid ~writes:[ (good, 1); (bad, 2) ] ~on_complete:(fun () -> ());
       Raid.quiesce raid;
       Alcotest.(check (option int)) "good write durable" (Some 1) (Disk.read d good);
       Alcotest.(check (option int)) "bad write not durable" None (Disk.read d bad);
@@ -320,7 +325,7 @@ let test_shutdown_drains_queued_ios () =
   with_engine (fun eng ->
       let raid = Raid.create eng ~cost:Cost.default ~disk:d ~rg:0 ~queue_depth:1 in
       for i = 0 to 11 do
-        Raid.submit raid
+        submit raid
           ~writes:[ (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:i, i) ]
           ~on_complete:(fun () -> ())
       done;
@@ -346,12 +351,12 @@ let test_quiesce_races_concurrent_submit () =
     (Engine.spawn eng ~label:"submitter" (fun () ->
          let r = Raid.create eng ~cost:Cost.default ~disk:d ~rg:0 in
          raid := Some r;
-         Raid.submit r ~writes:[ (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:0, 0) ]
+         submit r ~writes:[ (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:0, 0) ]
            ~on_complete:(fun () -> ());
          Engine.sleep 5.0;
-         Raid.submit r ~writes:[ (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:1, 1) ]
+         submit r ~writes:[ (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:1, 1) ]
            ~on_complete:(fun () -> ());
-         Raid.submit r ~writes:[ (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:2, 2) ]
+         submit r ~writes:[ (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:2, 2) ]
            ~on_complete:(fun () -> ())));
   ignore
     (Engine.spawn eng ~label:"quiescer" (fun () ->
@@ -373,7 +378,7 @@ let () =
           Alcotest.test_case "drive ranges disjoint" `Quick test_vbn_ranges_disjoint;
           Alcotest.test_case "aa ranges" `Quick test_aa_ranges;
           Alcotest.test_case "validation" `Quick test_geometry_validation;
-          QCheck_alcotest.to_alcotest ~verbose:false prop_locate_inverts_vbn_of;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_coordinates_invert_vbn_of;
         ] );
       ( "disk",
         [
