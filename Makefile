@@ -68,9 +68,9 @@ trace-smoke:
 # connected critical path from an acyclic DAG.  The figure run's exit
 # code is ignored (shape checks can MISS at reduced scale); the greps
 # are the gate.
-# (--domains 2 routes the figure's runs through the worker pool; a
-# traced/causal run serializes them again internally so the single
-# trace ring stays ordered — the flag still exercises the pool setup.)
+# (A traced/causal run executes at one domain by the CLI's choice, so
+# the exported trace is the last run in input order; --domains 2 is
+# accepted and overridden.)
 analyze-smoke:
 	dune build bin/wafl_sim.exe
 	-dune exec --no-build bin/wafl_sim.exe -- fig6 --scale 0.1 --domains 2 --causal _build/causal_smoke.json > _build/analyze_smoke_run.txt 2>&1

@@ -8,6 +8,7 @@
 
 module H = Wafl_harness
 module J = Wafl_obs.Json
+module Driver = Wafl_workload.Driver
 
 let section name = Printf.printf "\n=== %s ===\n%!" name
 
@@ -15,82 +16,105 @@ let section name = Printf.printf "\n=== %s ===\n%!" name
 type record = {
   r_name : string;
   r_wall_s : float;
-  r_virtual_us : float;  (** simulated virtual time across the figure's runs *)
-  r_write_ops : int;  (** client writes across the figure's runs (cache hits included) *)
+      (** summed host seconds of the unique runs the figure used; a run
+          shared with another figure counts in full for both *)
+  r_virtual_us : float;  (** summed final virtual clocks of those runs *)
+  r_write_ops : int;  (** client writes across those runs *)
   r_write_p50_us : float;
   r_write_p99_us : float;
   r_health_events : int;
-      (** health-watchdog events across the figure's runs; healthy
-          figures must report 0 *)
+      (** health-watchdog events across those runs; healthy figures must
+          report 0 *)
   r_extra : (string * J.t) list;
       (** figure-specific columns (e.g. the overload figure's per-scenario
           goodput / shed_rate / victim_p99 table) *)
   r_shapes : (string * bool) list;
 }
 
-let records : record list ref = ref []
+(* A figure's plan yields a printer for its table that returns the
+   figure's shape checks and extra JSON columns. *)
+type figure = {
+  f_name : string;
+  f_title : string;
+  f_plan : (unit -> (string * bool) list * (string * J.t) list) H.Exp.plan;
+}
 
-(* A figure closure can publish extra JSON columns for its record by
-   setting this before returning its shapes; [timed] consumes it. *)
-let pending_extra : (string * J.t) list ref = ref []
+let figure name title plan print ?(extra = fun _ -> []) shapes =
+  {
+    f_name = name;
+    f_title = title;
+    f_plan =
+      H.Exp.map
+        (fun rows () ->
+          print rows;
+          (shapes rows, extra rows))
+        plan;
+  }
 
-let virtual_total () =
-  (* Driver.run accumulates each run's final virtual clock here. *)
-  Wafl_obs.Metrics.counter_value Wafl_obs.Metrics.default "virtual_time_us"
+(* Every run the batch executes, with its host seconds.  Worker domains
+   append concurrently, hence the lock. *)
+let timings : (Driver.result * float) list ref = ref []
+let timings_lock = Mutex.create ()
 
-let timed name f =
+(* The bench's [run]: the whole suite carries fleet telemetry
+   (observe-only, so every number is unchanged) and each run is timed. *)
+let timed_run spec =
   let t0 = Unix.gettimeofday () in
-  let v0 = virtual_total () in
-  (* Fresh per-figure sink: every run under [f] (memoized or not) merges
-     its end-to-end write-latency histogram here. *)
-  let wh = Wafl_util.Histogram.create () in
-  Wafl_workload.Driver.latency_sink := Some wh;
-  (* Fresh per-figure health-event counter, fed by every run (memoized
-     cache hits replay their cached event count). *)
-  let hc = ref 0 in
-  Wafl_workload.Driver.health_sink := Some hc;
-  pending_extra := [];
-  let shapes =
-    Fun.protect
-      ~finally:(fun () ->
-        Wafl_workload.Driver.latency_sink := None;
-        Wafl_workload.Driver.health_sink := None)
-      f
+  let r = Driver.run { spec with Driver.telemetry = Some Driver.default_telemetry } in
+  let dt = Unix.gettimeofday () -. t0 in
+  Mutex.protect timings_lock (fun () -> timings := (r, dt) :: !timings);
+  r
+
+(* A figure's record from the results its plan consumed: a run the plan
+   asked for twice counts once. *)
+let record_of f (shapes, extra) results =
+  let unique =
+    List.fold_left (fun acc r -> if List.memq r acc then acc else r :: acc) [] results
   in
-  let wall = Unix.gettimeofday () -. t0 in
-  let virt = virtual_total () -. v0 in
+  let wall = List.fold_left (fun a r -> a +. List.assq r !timings) 0.0 unique in
+  let virt = List.fold_left (fun a r -> a +. r.Driver.virtual_us) 0.0 unique in
+  let wh = Wafl_util.Histogram.create () in
+  List.iter
+    (fun r -> Wafl_util.Histogram.merge_into ~dst:wh r.Driver.write_latency)
+    unique;
+  let health =
+    List.fold_left
+      (fun a r ->
+        match r.Driver.telemetry with
+        | Some tr -> a + List.length tr.Driver.tr_events
+        | None -> a)
+      0 unique
+  in
   let p50 = Wafl_util.Histogram.percentile wh 50.0 in
   let p99 = Wafl_util.Histogram.percentile wh 99.0 in
   Printf.printf "  [%s: %.1fs wall, %.2fs virtual, write p50 %.0fus p99 %.0fus, %d health events]\n%!"
-    name wall (virt /. 1e6) p50 p99 !hc;
-  records :=
-    {
-      r_name = name;
-      r_wall_s = wall;
-      r_virtual_us = virt;
-      r_write_ops = Wafl_util.Histogram.count wh;
-      r_write_p50_us = p50;
-      r_write_p99_us = p99;
-      r_health_events = !hc;
-      r_extra = !pending_extra;
-      r_shapes = shapes;
-    }
-    :: !records;
-  pending_extra := [];
-  shapes
+    f.f_name wall (virt /. 1e6) p50 p99 health;
+  {
+    r_name = f.f_name;
+    r_wall_s = wall;
+    r_virtual_us = virt;
+    r_write_ops = Wafl_util.Histogram.count wh;
+    r_write_p50_us = p50;
+    r_write_p99_us = p99;
+    r_health_events = health;
+    r_extra = extra;
+    r_shapes = shapes;
+  }
 
 (* BENCH_paper.json schema (all times in the named unit):
-     { "schema": "wafl-bench/7",
+     { "schema": "wafl-bench/8",
        "scale": float,            -- WAFL_SCALE factor of THIS run
        "domains": int,            -- worker domains the harness fanned over
-       "total_wall_s": float,
-       "total_virtual_us": float, -- simulated time of actually-executed
-                                  -- runs (memoized cache hits add none)
+       "total_wall_s": float,     -- elapsed host time of the figure batch
+       "total_virtual_us": float, -- summed final virtual clocks of the
+                                  -- batch's unique runs
        "speedup_vs_d1": float,    -- present when the file holds a 1-domain
                                   -- run at the same scale: its wall / ours
        "shapes_ok": int, "shapes_total": int,
-       "figures": [ { "name": str, "wall_s": float, "virtual_us": float,
-                      "write_ops": int,        -- client writes, cache hits included
+       "figures": [ { "name": str,
+                      "wall_s": float,         -- host s of the unique runs it used
+                      "virtual_us": float,     -- their final virtual clocks
+                      "write_ops": int,        -- their client writes
                       "write_p50_us": float,   -- end-to-end write latency
                       "write_p99_us": float,
                       "shapes": [ { "name": str, "ok": bool } ] } ],
@@ -115,11 +139,15 @@ let timed name f =
    legacy v2..v5 entries are carried over under "SCALE/d1"; v7 runs the
    whole suite with fleet telemetry attached (observe-only, so every
    number is unchanged) and adds the per-figure "health_events" count —
-   0 on every healthy figure.  Older files (without these fields) are
-   still read for carry-over. *)
-let run_record ~scale ~domains ~total_wall =
+   0 on every healthy figure; v8 executes every selected figure as one
+   deduplicated batch (Exp.execute) and credits each figure with every
+   unique run it uses — a run two figures share counts in full for both,
+   so figures no longer hide behind an earlier figure's cache —, while
+   "total_wall_s" is the batch's elapsed time.  Older files (without
+   these fields) are still read for carry-over. *)
+let run_record ~scale ~domains ~total_wall ~total_virtual records =
   let figs =
-    List.rev_map
+    List.map
       (fun r ->
         J.Obj
           ([
@@ -139,14 +167,14 @@ let run_record ~scale ~domains ~total_wall =
                      (fun (n, ok) -> J.Obj [ ("name", J.Str n); ("ok", J.Bool ok) ])
                      r.r_shapes) );
             ]))
-      !records
+      records
   in
-  let shapes = List.concat_map (fun r -> r.r_shapes) !records in
+  let shapes = List.concat_map (fun r -> r.r_shapes) records in
   [
     ("scale", J.Num scale);
     ("domains", J.Num (float_of_int domains));
     ("total_wall_s", J.Num total_wall);
-    ("total_virtual_us", J.Num (virtual_total ()));
+    ("total_virtual_us", J.Num total_virtual);
     ("shapes_ok", J.Num (float_of_int (List.length (List.filter snd shapes))));
     ("shapes_total", J.Num (float_of_int (List.length shapes)));
     ("figures", J.Arr figs);
@@ -167,7 +195,8 @@ let previous_runs ~except path =
       | Ok doc -> (
           let runs =
             match (J.member "schema" doc, J.member "runs_by_config" doc) with
-            | Some (J.Str ("wafl-bench/6" | "wafl-bench/7")), Some (J.Obj runs) -> runs
+            | Some (J.Str ("wafl-bench/6" | "wafl-bench/7" | "wafl-bench/8")), Some (J.Obj runs)
+              -> runs
             | Some (J.Str ("wafl-bench/2" | "wafl-bench/3" | "wafl-bench/4" | "wafl-bench/5")), _
               -> (
                 match J.member "runs_by_scale" doc with
@@ -180,8 +209,8 @@ let previous_runs ~except path =
 
 let config_key ~scale ~domains = Printf.sprintf "%.2f/d%d" scale domains
 
-let write_json ~scale ~domains ~total_wall path =
-  let this_run = run_record ~scale ~domains ~total_wall in
+let write_json ~scale ~domains ~total_wall ~total_virtual records path =
+  let this_run = run_record ~scale ~domains ~total_wall ~total_virtual records in
   let key = config_key ~scale ~domains in
   let prev = previous_runs ~except:key path in
   (* Like-for-like speedup: the stored single-domain run at the same
@@ -201,7 +230,7 @@ let write_json ~scale ~domains ~total_wall path =
   let runs = prev @ [ (key, J.Obj this_run) ] in
   let runs = List.sort (fun (a, _) (b, _) -> compare a b) runs in
   let doc =
-    J.Obj ((("schema", J.Str "wafl-bench/7") :: this_run) @ [ ("runs_by_config", J.Obj runs) ])
+    J.Obj ((("schema", J.Str "wafl-bench/8") :: this_run) @ [ ("runs_by_config", J.Obj runs) ])
   in
   let oc = open_out path in
   output_string oc (J.to_string doc);
@@ -223,97 +252,94 @@ let only =
 let want name = match only with None -> true | Some l -> List.mem name l
 
 let figures scale =
-  let all = ref [] in
-  let add shapes = all := !all @ shapes in
-  let run name title f = if want name then begin section title; add (timed name f) end in
-  run "fig4" "Figure 4 (sequential write, permutations)" (fun () ->
-         let rows = H.Fig4.run ~scale () in
-         H.Fig4.print rows;
-         H.Fig4.shapes rows);
-  run "fig5" "Figure 5 (cleaner-thread scaling)" (fun () ->
-         let rows = H.Fig5.run ~scale () in
-         H.Fig5.print rows;
-         H.Fig5.shapes rows);
-  run "fig6" "Figure 6 (infrastructure parallelization)" (fun () ->
-         let rows = H.Fig6.run ~scale () in
-         H.Fig6.print rows;
-         H.Fig6.shapes rows);
-  run "fig7" "Figure 7 (random write, permutations)" (fun () ->
-         let rows = H.Fig7.run ~scale () in
-         H.Fig7.print rows;
-         H.Fig7.shapes rows);
-  run "fig8" "Figure 8 (OLTP peak throughput / knee latency)" (fun () ->
-         let rows = H.Fig8.run ~scale () in
-         H.Fig8.print rows;
-         H.Fig8.shapes rows);
-  run "fig9" "Figure 9 (throughput vs latency curves)" (fun () ->
-         let rows = H.Fig9.run ~scale () in
-         H.Fig9.print rows;
-         H.Fig9.shapes rows);
-  run "batching" "Batched inode cleaning (SV-C)" (fun () ->
-         let rows = H.Batching.run ~scale () in
-         H.Batching.print rows;
-         H.Batching.shapes rows);
-  run "history" "History ablation (the SIII evolution: 2006 / 2008 / 2011)" (fun () ->
-         let rows = H.History.run ~scale () in
-         H.History.print rows;
-         H.History.shapes rows);
-  run "ablation/chunk" "Design ablation: bucket chunk size (SIV-C)" (fun () ->
-         let rows = H.Ablation.run_chunk ~scale () in
-         H.Ablation.print_chunk rows;
-         H.Ablation.shapes_chunk rows);
-  run "ablation/ranges" "Design ablation: Range-affinity instances (SIV-B2)" (fun () ->
-         let rows = H.Ablation.run_ranges ~scale () in
-         H.Ablation.print_ranges rows;
-         H.Ablation.shapes_ranges rows);
-  run "crossover" "Crossover sweep: sequential -> random write" (fun () ->
-         let rows = H.Crossover.run ~scale () in
-         H.Crossover.print rows;
-         H.Crossover.shapes rows);
-  run "overload" "Overload: noisy-neighbor tenant isolation (QoS)" (fun () ->
-         let rows = H.Overload.run ~scale () in
-         H.Overload.print rows;
-         pending_extra :=
-           [
-             ( "overload",
-               J.Arr
-                 (List.map
-                    (fun row ->
-                      J.Obj
-                        [
-                          ("scenario", J.Str (H.Overload.scenario_name row.H.Overload.scenario));
-                          ("goodput_ops_s", J.Num (H.Overload.goodput row));
-                          ("shed_rate", J.Num (H.Overload.shed_rate row));
-                          ("victim_p99_us", J.Num (H.Overload.victim_p99 row));
-                        ])
-                    rows) );
-           ];
-         H.Overload.shapes rows);
-  run "flash" "Flash media model: WAF / GC push-back vs fill, OP, streaming" (fun () ->
-         let rows = H.Flash.run ~scale () in
-         H.Flash.print rows;
-         pending_extra :=
-           [
-             ( "flash",
-               J.Arr
-                 (List.map
-                    (fun row ->
-                      J.Obj
-                        [
-                          ("scenario", J.Str (H.Flash.scenario_name row.H.Flash.scenario));
-                          ("waf", J.Num (H.Flash.waf row));
-                          ("gc_stall_ms", J.Num (H.Flash.gc_stall_us row /. 1000.0));
-                          ("write_p99_us", J.Num (H.Flash.write_p99 row));
-                        ])
-                    rows) );
-           ];
-         H.Flash.shapes rows);
+  let json_rows fields rows = J.Arr (List.map (fun row -> J.Obj (fields row)) rows) in
+  [
+    figure "fig4" "Figure 4 (sequential write, permutations)" (H.Fig4.plan ~scale ())
+      H.Fig4.print H.Fig4.shapes;
+    figure "fig5" "Figure 5 (cleaner-thread scaling)" (H.Fig5.plan ~scale ()) H.Fig5.print
+      H.Fig5.shapes;
+    figure "fig6" "Figure 6 (infrastructure parallelization)" (H.Fig6.plan ~scale ())
+      H.Fig6.print H.Fig6.shapes;
+    figure "fig7" "Figure 7 (random write, permutations)" (H.Fig7.plan ~scale ()) H.Fig7.print
+      H.Fig7.shapes;
+    figure "fig8" "Figure 8 (OLTP peak throughput / knee latency)" (H.Fig8.plan ~scale ())
+      H.Fig8.print H.Fig8.shapes;
+    figure "fig9" "Figure 9 (throughput vs latency curves)" (H.Fig9.plan ~scale ()) H.Fig9.print
+      H.Fig9.shapes;
+    figure "batching" "Batched inode cleaning (SV-C)" (H.Batching.plan ~scale ())
+      H.Batching.print H.Batching.shapes;
+    figure "history" "History ablation (the SIII evolution: 2006 / 2008 / 2011)"
+      (H.History.plan ~scale ()) H.History.print H.History.shapes;
+    figure "ablation/chunk" "Design ablation: bucket chunk size (SIV-C)"
+      (H.Ablation.plan_chunk ~scale ()) H.Ablation.print_chunk H.Ablation.shapes_chunk;
+    figure "ablation/ranges" "Design ablation: Range-affinity instances (SIV-B2)"
+      (H.Ablation.plan_ranges ~scale ()) H.Ablation.print_ranges H.Ablation.shapes_ranges;
+    figure "crossover" "Crossover sweep: sequential -> random write" (H.Crossover.plan ~scale ())
+      H.Crossover.print H.Crossover.shapes;
+    figure "overload" "Overload: noisy-neighbor tenant isolation (QoS)"
+      (H.Overload.plan ~scale ()) H.Overload.print
+      ~extra:(fun rows ->
+        [
+          ( "overload",
+            json_rows
+              (fun row ->
+                [
+                  ("scenario", J.Str (H.Overload.scenario_name row.H.Overload.scenario));
+                  ("goodput_ops_s", J.Num (H.Overload.goodput row));
+                  ("shed_rate", J.Num (H.Overload.shed_rate row));
+                  ("victim_p99_us", J.Num (H.Overload.victim_p99 row));
+                ])
+              rows );
+        ])
+      H.Overload.shapes;
+    figure "flash" "Flash media model: WAF / GC push-back vs fill, OP, streaming"
+      (H.Flash.plan ~scale ()) H.Flash.print
+      ~extra:(fun rows ->
+        [
+          ( "flash",
+            json_rows
+              (fun row ->
+                [
+                  ("scenario", J.Str (H.Flash.scenario_name row.H.Flash.scenario));
+                  ("waf", J.Num (H.Flash.waf row));
+                  ("gc_stall_ms", J.Num (H.Flash.gc_stall_us row /. 1000.0));
+                  ("write_p99_us", J.Num (H.Flash.write_p99 row));
+                ])
+              rows );
+        ])
+      H.Flash.shapes;
+  ]
+  |> List.filter (fun f -> want f.f_name)
+
+(* Run the selected figures as one deduplicated batch, then print each
+   figure's table and cost line in order.  Returns the records and the
+   batch's elapsed host seconds. *)
+let run_figures ~scale ~domains =
+  let figs = figures scale in
+  let t0 = Unix.gettimeofday () in
+  let outs =
+    H.Exp.execute ~domains ~run:timed_run
+      (List.map (fun f -> H.Exp.with_results f.f_plan) figs)
+  in
+  let batch_wall = Unix.gettimeofday () -. t0 in
+  let requested = List.fold_left (fun a (_, rs) -> a + List.length rs) 0 outs in
+  Printf.printf "batch: %d specs, %d unique, %.1fs wall\n%!" requested (List.length !timings)
+    batch_wall;
+  let records =
+    List.map2
+      (fun f (report, results) ->
+        section f.f_title;
+        record_of f (report ()) results)
+      figs outs
+  in
+  let all = List.concat_map (fun r -> r.r_shapes) records in
   section "Shape summary (paper-vs-measured, qualitative)";
-  H.Exp.print_shapes !all;
-  let missed = List.filter (fun (_, ok) -> not ok) !all in
+  H.Exp.print_shapes all;
+  let missed = List.filter (fun (_, ok) -> not ok) all in
   Printf.printf "\n%d/%d shapes reproduced\n%!"
-    (List.length !all - List.length missed)
-    (List.length !all)
+    (List.length all - List.length missed)
+    (List.length all);
+  (records, batch_wall)
 
 (* --- Bechamel micro-benchmarks of allocator primitives ------------------- *)
 
@@ -472,28 +498,19 @@ let micro () =
 
 let () =
   let scale = H.Exp.of_env () in
-  (* The figure suite re-runs several identical specs (fig6 = fig4/5
-     rows, history/crossover endpoints, fig9 top-load rows); runs are
-     deterministic, so let the driver return cached results for them.
-     Per-figure virtual time then counts only actually-executed runs. *)
-  Wafl_workload.Driver.memoize := true;
-  (* Fan independent runs within each figure over the host's cores
-     (WAFL_DOMAINS overrides).  Results are byte-identical at any
-     count — only wall time changes — so the recorded domain count
-     matters only for like-for-like wall-time comparison. *)
+  (* Fan the batch's unique runs over the host's cores (WAFL_DOMAINS
+     overrides).  Results are byte-identical at any count — only wall
+     time changes — so the recorded domain count matters only for
+     like-for-like wall-time comparison. *)
   let domains = Wafl_util.Pool.default_domains () in
-  H.Exp.domains := domains;
-  (* Always-on fleet telemetry across the whole suite: observe-only (the
-     telemetry tests pin bit-identity), and the per-figure health-event
-     counts land in BENCH_paper.json. *)
-  H.Exp.telemetry := Some Wafl_workload.Driver.default_telemetry;
   Printf.printf "WAFL White Alligator reproduction benchmark harness (scale %.2f, %d domain%s)\n"
     scale domains
     (if domains = 1 then "" else "s");
-  let t0 = Unix.gettimeofday () in
-  figures scale;
+  let records, total_wall = run_figures ~scale ~domains in
   if want "micro" then micro ();
-  let total_wall = Unix.gettimeofday () -. t0 in
-  Printf.printf "\ntotal wall time: %.1fs\n" total_wall;
+  Printf.printf "\ntotal wall time (figure batch): %.1fs\n" total_wall;
+  let total_virtual =
+    List.fold_left (fun a (r, _) -> a +. r.Driver.virtual_us) 0.0 !timings
+  in
   let out = Option.value ~default:"BENCH_paper.json" (Sys.getenv_opt "WAFL_BENCH_OUT") in
-  write_json ~scale ~domains ~total_wall out
+  write_json ~scale ~domains ~total_wall ~total_virtual records out

@@ -54,11 +54,11 @@ let report_drops t =
        ring capacity or shorten the run)\n"
       dropped
 
-let run_experiment name runner =
+(* An experiment is a list of plans, each yielding a printer for its
+   table that returns the figure's shape checks. *)
+let run_experiment name plans =
   let doc = Printf.sprintf "Reproduce %s." name in
   let action scale sanitize domains trace_out causal_out =
-    H.Exp.sanitize := sanitize;
-    H.Exp.domains := max 1 domains;
     let last = ref Wafl_obs.Trace.disabled in
     let out =
       match (causal_out, trace_out) with
@@ -66,16 +66,24 @@ let run_experiment name runner =
       | None, Some path -> Some (path, false)
       | None, None -> None
     in
-    (match out with
-    | Some (_, causal) ->
-        H.Exp.trace :=
-          Some
-            (fun eng ->
-              let t = Wafl_obs.Trace.create ~causal eng in
-              last := t;
-              t)
-    | None -> ());
-    let shapes = Fun.protect ~finally:(fun () -> H.Exp.trace := None) (fun () -> runner scale) in
+    let obs =
+      match out with
+      | Some (_, causal) ->
+          fun eng ->
+            let t = Wafl_obs.Trace.create ~causal eng in
+            last := t;
+            t
+      | None -> Driver.default_spec.Driver.obs
+    in
+    (* Traced runs execute serially: the exported trace is the last
+       run's, which only means something when runs start in order. *)
+    let domains = if out = None then max 1 domains else 1 in
+    let reports =
+      H.Exp.execute ~domains
+        ~run:(fun s -> Driver.run { s with Driver.sanitize; obs })
+        (plans scale)
+    in
+    let shapes = List.concat_map (fun report -> report ()) reports in
     (match out with
     | None -> ()
     | Some (path, causal) ->
@@ -94,74 +102,33 @@ let run_experiment name runner =
   Cmd.v (Cmd.info name ~doc)
     Term.(ret (const action $ scale_arg $ sanitize_arg $ domains_arg $ trace_arg $ causal_arg))
 
-let fig4 scale =
-  let rows = H.Fig4.run ~scale () in
-  H.Fig4.print rows;
-  H.Fig4.shapes rows
+let report plan print shapes = H.Exp.map (fun rows () -> print rows; shapes rows) plan
 
-let fig5 scale =
-  let rows = H.Fig5.run ~scale () in
-  H.Fig5.print rows;
-  H.Fig5.shapes rows
-
-let fig6 scale =
-  let rows = H.Fig6.run ~scale () in
-  H.Fig6.print rows;
-  H.Fig6.shapes rows
-
-let fig7 scale =
-  let rows = H.Fig7.run ~scale () in
-  H.Fig7.print rows;
-  H.Fig7.shapes rows
-
-let fig8 scale =
-  let rows = H.Fig8.run ~scale () in
-  H.Fig8.print rows;
-  H.Fig8.shapes rows
-
-let fig9 scale =
-  let rows = H.Fig9.run ~scale () in
-  H.Fig9.print rows;
-  H.Fig9.shapes rows
-
-let batching scale =
-  let rows = H.Batching.run ~scale () in
-  H.Batching.print rows;
-  H.Batching.shapes rows
-
-let history scale =
-  let rows = H.History.run ~scale () in
-  H.History.print rows;
-  H.History.shapes rows
+let fig4 scale = [ report (H.Fig4.plan ~scale ()) H.Fig4.print H.Fig4.shapes ]
+let fig5 scale = [ report (H.Fig5.plan ~scale ()) H.Fig5.print H.Fig5.shapes ]
+let fig6 scale = [ report (H.Fig6.plan ~scale ()) H.Fig6.print H.Fig6.shapes ]
+let fig7 scale = [ report (H.Fig7.plan ~scale ()) H.Fig7.print H.Fig7.shapes ]
+let fig8 scale = [ report (H.Fig8.plan ~scale ()) H.Fig8.print H.Fig8.shapes ]
+let fig9 scale = [ report (H.Fig9.plan ~scale ()) H.Fig9.print H.Fig9.shapes ]
+let batching scale = [ report (H.Batching.plan ~scale ()) H.Batching.print H.Batching.shapes ]
+let history scale = [ report (H.History.plan ~scale ()) H.History.print H.History.shapes ]
 
 let ablation scale =
-  let chunk = H.Ablation.run_chunk ~scale () in
-  H.Ablation.print_chunk chunk;
-  let ranges = H.Ablation.run_ranges ~scale () in
-  H.Ablation.print_ranges ranges;
-  H.Ablation.shapes_chunk chunk @ H.Ablation.shapes_ranges ranges
+  [
+    report (H.Ablation.plan_chunk ~scale ()) H.Ablation.print_chunk H.Ablation.shapes_chunk;
+    report (H.Ablation.plan_ranges ~scale ()) H.Ablation.print_ranges H.Ablation.shapes_ranges;
+  ]
 
-let crossover scale =
-  let rows = H.Crossover.run ~scale () in
-  H.Crossover.print rows;
-  H.Crossover.shapes rows
+let crossover scale = [ report (H.Crossover.plan ~scale ()) H.Crossover.print H.Crossover.shapes ]
+let overload scale = [ report (H.Overload.plan ~scale ()) H.Overload.print H.Overload.shapes ]
+let flash scale = [ report (H.Flash.plan ~scale ()) H.Flash.print H.Flash.shapes ]
 
-let overload scale =
-  let rows = H.Overload.run ~scale () in
-  H.Overload.print rows;
-  H.Overload.shapes rows
-
-let flash scale =
-  let rows = H.Flash.run ~scale () in
-  H.Flash.print rows;
-  H.Flash.shapes rows
-
+(* Every experiment in one batch: shared runs execute once. *)
 let all scale =
-  List.concat
+  List.concat_map
+    (fun f -> f scale)
     [
-      fig4 scale; fig5 scale; fig6 scale; fig7 scale; fig8 scale; fig9 scale;
-      batching scale; history scale; ablation scale; crossover scale; overload scale;
-      flash scale;
+      fig4; fig5; fig6; fig7; fig8; fig9; batching; history; ablation; crossover; overload; flash;
     ]
 
 (* --- ad-hoc run --- *)
@@ -507,6 +474,7 @@ let top_run file live json out workload clients volumes cores measure_s seed win
           measure = measure_s *. 1_000_000.0;
           seed;
           telemetry = Some { Driver.rollup = rcfg; rules = Wafl_obs.Health.default_rules };
+          chaos = { Wafl_fs.Aggregate.no_chaos with force_b2b = inject_b2b };
           open_loop =
             (match open_loop with
             | None -> None
@@ -518,12 +486,7 @@ let top_run file live json out workload clients volumes cores measure_s seed win
                   });
         }
       in
-      if inject_b2b then Wafl_core.Cp.chaos_force_b2b := true;
-      let r =
-        Fun.protect
-          ~finally:(fun () -> Wafl_core.Cp.chaos_force_b2b := false)
-          (fun () -> Driver.run spec)
-      in
+      let r = Driver.run spec in
       (match r.Driver.telemetry with
       | None -> `Error (false, "driver returned no telemetry")
       | Some tr ->

@@ -54,20 +54,6 @@ val run_now : t -> unit
 (** Fiber context: request a CP and park until one full CP (snapshotting
     state at least as new as now) has committed. *)
 
-val chaos_publish_before_quiesce : bool ref
-(** Test-only chaos hook: when set, the CP publishes the superblock
-    {e before} the io-flush quiesce and failed-write repair — a
-    deliberately broken commit ordering.  A crash landing in the
-    publish-to-quiesce window then loses acknowledged writes, which the
-    randomized crash harness must detect (negative control proving the
-    harness oracle works).  Never set outside tests. *)
-
-val chaos_force_b2b : bool ref
-(** Test-only chaos hook: book every CP as back-to-back.  Pure
-    accounting — counters and metrics only, scheduling untouched — used
-    to drive the health watchdog's B2B-streak rule in tests.  Never set
-    outside tests. *)
-
 val running : t -> bool
 
 val phase : t -> string

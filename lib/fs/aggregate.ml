@@ -35,9 +35,15 @@ let vol_map_domain ~vol ~index = Printf.sprintf "vol/%d.map/%d" vol index
 let pvbn_domain pvbn = agg_map_domain ~index:(pvbn / Layout.bits_per_map_block)
 let vvbn_domain ~vol vvbn = vol_map_domain ~vol ~index:(vvbn / Layout.bits_per_map_block)
 
+(* Test-only fault hooks, fixed per aggregate at creation (see the .mli). *)
+type chaos = { publish_before_quiesce : bool; force_b2b : bool; inject_hard_dwell : float }
+
+let no_chaos = { publish_before_quiesce = false; force_b2b = false; inject_hard_dwell = 0.0 }
+
 type t = {
   eng : Engine.t;
   cost : Cost.t;
+  chaos : chaos;
   geom : Geometry.t;
   pers : persist;
   raids : Layout.block Raid.t array;
@@ -78,11 +84,6 @@ type t = {
   m_hard_dwell : Wafl_obs.Metrics.counter;
 }
 
-(* Test-only chaos hook: each [wait_for_log_space] call books this many
-   extra virtual µs of hard-watermark dwell.  Pure accounting — no sleep,
-   no scheduling — so runs stay bit-identical with it set. *)
-let chaos_inject_hard_dwell = ref 0.0
-
 let free_counter = "agg_free_blocks"
 let vol_free_counter vid = Printf.sprintf "vol%d_free_vvbns" vid
 
@@ -103,7 +104,7 @@ let init_aa_free geom =
         (Geometry.aa_stripes geom * Geometry.data_drives geom ~rg))
 
 let create ?(nvlog_half = 16384) ?nvlog_watermarks ?(cache_blocks = 65536) ?queue_depth ?obs
-    ?flash eng ~cost ~geometry () =
+    ?flash ?(chaos = no_chaos) eng ~cost ~geometry () =
   let disk = Disk.create geometry in
   let pers =
     {
@@ -118,6 +119,7 @@ let create ?(nvlog_half = 16384) ?nvlog_watermarks ?(cache_blocks = 65536) ?queu
     {
       eng;
       cost;
+      chaos;
       geom = geometry;
       pers;
       raids = make_raids eng cost disk geometry queue_depth obs flash;
@@ -163,6 +165,7 @@ let create ?(nvlog_half = 16384) ?nvlog_watermarks ?(cache_blocks = 65536) ?queu
 
 let engine t = t.eng
 let cost t = t.cost
+let chaos t = t.chaos
 let geometry t = t.geom
 let disk t = t.pers.p_disk
 let raid t ~rg = t.raids.(rg)
@@ -368,7 +371,7 @@ let note_hard_dwell t dt =
   end
 
 let wait_for_log_space t =
-  if !chaos_inject_hard_dwell > 0.0 then note_hard_dwell t !chaos_inject_hard_dwell;
+  if t.chaos.inject_hard_dwell > 0.0 then note_hard_dwell t t.chaos.inject_hard_dwell;
   let nv = nvlog t in
   match Nvlog.watermarks nv with
   | None ->
@@ -779,6 +782,7 @@ let recover ?(cache_blocks = 65536) ?queue_depth ?obs eng ~cost pers =
     {
       eng;
       cost;
+      chaos = no_chaos;
       geom;
       pers;
       raids = make_raids eng cost pers.p_disk geom queue_depth obs pers.p_flash;

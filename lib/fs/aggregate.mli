@@ -29,6 +29,23 @@ exception Corruption of string
 (** Raised by {!read} when an on-disk block does not match the metadata
     that references it — the invariant a broken allocator violates. *)
 
+type chaos = {
+  publish_before_quiesce : bool;
+      (** CPs publish the superblock before the io-flush quiesce and
+          write repair: a broken commit ordering that loses acknowledged
+          writes on a crash in between — the crash harness's negative
+          control *)
+  force_b2b : bool;  (** book every CP as back-to-back (accounting only) *)
+  inject_hard_dwell : float;
+      (** extra hard-watermark dwell µs booked per {!wait_for_log_space}
+          call (accounting only) *)
+}
+(** Test-only fault hooks, fixed per aggregate at {!create}, so they
+    never reach a concurrent run.  A {!recover}ed aggregate has none. *)
+
+val no_chaos : chaos
+(** Every hook off. *)
+
 val create :
   ?nvlog_half:int ->
   ?nvlog_watermarks:Nvlog.watermarks ->
@@ -36,6 +53,7 @@ val create :
   ?queue_depth:int ->
   ?obs:Wafl_obs.Trace.t ->
   ?flash:Wafl_flash.Ftl.config ->
+  ?chaos:chaos ->
   Wafl_sim.Engine.t ->
   cost:Wafl_sim.Cost.t ->
   geometry:Wafl_storage.Geometry.t ->
@@ -50,10 +68,12 @@ val create :
     NAND pages (with GC push-back), frees are TRIMmed, and the config
     survives {!crash}/{!recover} (the L2P itself is re-derived from the
     recovered activemap).  Off means the device is the flat slab it was
-    before — bit-identical behavior. *)
+    before — bit-identical behavior.  [chaos] (default {!no_chaos}) arms
+    test-only fault hooks. *)
 
 val engine : t -> Wafl_sim.Engine.t
 val cost : t -> Wafl_sim.Cost.t
+val chaos : t -> chaos
 val geometry : t -> Wafl_storage.Geometry.t
 val disk : t -> Layout.block Wafl_storage.Disk.t
 val raid : t -> rg:int -> Layout.block Wafl_storage.Raid.t
@@ -149,10 +169,6 @@ val hard_dwell_time : t -> float
 (** Subset of {!stall_time}: virtual µs spent parked above the hard
     watermark (also in the [nvlog_hard_dwell_us] counter and the
     [nvlog.hard_dwell_us] metric). *)
-
-val chaos_inject_hard_dwell : float ref
-(** Test-only: extra dwell µs booked per {!wait_for_log_space} call.
-    Pure accounting (no sleep), so setting it cannot perturb a run. *)
 
 (** {1 Physical allocation state (infrastructure side)} *)
 

@@ -14,10 +14,10 @@
 type chunk_row = { chunk : int; result : Wafl_workload.Driver.result }
 type ranges_row = { ranges : int; result : Wafl_workload.Driver.result }
 
-val run_chunk : ?scale:float -> ?chunks:int list -> unit -> chunk_row list
+val plan_chunk : ?scale:float -> ?chunks:int list -> unit -> chunk_row list Exp.plan
 val print_chunk : chunk_row list -> unit
 val shapes_chunk : chunk_row list -> (string * bool) list
 
-val run_ranges : ?scale:float -> ?range_counts:int list -> unit -> ranges_row list
+val plan_ranges : ?scale:float -> ?range_counts:int list -> unit -> ranges_row list Exp.plan
 val print_ranges : ranges_row list -> unit
 val shapes_ranges : ranges_row list -> (string * bool) list

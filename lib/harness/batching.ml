@@ -3,7 +3,7 @@ open Wafl_util
 
 type row = { batching : bool; result : Driver.result }
 
-let run ?(scale = 1.0) () =
+let plan ?(scale = 1.0) () =
   let files = max 8 (int_of_float (48.0 *. scale)) in
   let spec =
     {
@@ -12,11 +12,9 @@ let run ?(scale = 1.0) () =
       nvlog_half = 4096;
     }
   in
-  Exp.par_map
-    (fun batching ->
-      let cfg = Exp.wa_config ~cleaners:4 ~batching () in
-      { batching; result = Driver.run { spec with Driver.cfg } })
-    [ false; true ]
+  Exp.sweep [ false; true ]
+    (fun batching -> { spec with Driver.cfg = Exp.wa_config ~cleaners:4 ~batching () })
+    (fun batching result -> { batching; result })
 
 let print rows =
   Printf.printf "\nBatched inode cleaning (NFS mix, many inodes with few dirty buffers; SV-C)\n";

@@ -7,6 +7,6 @@
 
 type row = { batching : bool; result : Wafl_workload.Driver.result }
 
-val run : ?scale:float -> unit -> row list
+val plan : ?scale:float -> unit -> row list Exp.plan
 val print : row list -> unit
 val shapes : row list -> (string * bool) list

@@ -52,6 +52,7 @@ val run_one :
   ?sanitize:bool ->
   ?overload:bool ->
   ?flash:bool ->
+  ?chaos:Wafl_fs.Aggregate.chaos ->
   seed:int ->
   unit ->
   outcome
@@ -68,14 +69,16 @@ val run_one :
     [flash] (default false) attaches a nearly-full {!Wafl_flash.Ftl} to
     every RAID group so the crash routinely lands mid-GC-cycle; the
     volatile L2P table is rebuilt on recovery and read-back must still
-    hold. *)
+    hold.  [chaos] (default none) arms test-only fault hooks on the
+    crashed aggregate; the recovered one runs without them. *)
 
 val passed : outcome -> bool
 (** No acknowledged write lost and fsck clean. *)
 
 val run_seeds :
   ?ops:int -> ?fbn_space:int -> ?horizon:float -> ?sanitize:bool -> ?overload:bool ->
-  ?flash:bool -> ?domains:int -> first_seed:int -> count:int -> unit -> outcome list
+  ?flash:bool -> ?chaos:Wafl_fs.Aggregate.chaos -> ?domains:int -> first_seed:int ->
+  count:int -> unit -> outcome list
 (** [count] outcomes for consecutive seeds from [first_seed], in seed
     order.  [domains] (default 1) fans the seeds out over that many
     worker domains ({!Wafl_util.Pool}); outcomes are byte-identical at

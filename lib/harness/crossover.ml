@@ -3,19 +3,14 @@ open Wafl_util
 
 type row = { random_fraction : float; result : Driver.result }
 
-let run ?(scale = 1.0) ?(fractions = [ 0.0; 0.25; 0.5; 0.75; 1.0 ]) () =
+let plan ?(scale = 1.0) ?(fractions = [ 0.0; 0.25; 0.5; 0.75; 1.0 ]) () =
   let file_blocks = max 2048 (int_of_float (16384.0 *. scale)) in
   let spec = Exp.spec_base ~scale in
-  Exp.par_map
+  Exp.sweep fractions
     (fun random_fraction ->
       let workload = Driver.Mixed_write { file_blocks; random_fraction } in
-      {
-        random_fraction;
-        result =
-          Driver.run
-            { spec with Driver.workload; cfg = Exp.wa_config ~cleaners:6 ~max_cleaners:6 () };
-      })
-    fractions
+      { spec with Driver.workload; cfg = Exp.wa_config ~cleaners:6 ~max_cleaners:6 () })
+    (fun random_fraction result -> { random_fraction; result })
 
 (* Per-operation virtual µs of each component. *)
 let per_op_us cores (r : Driver.result) = cores *. 1e6 /. Float.max 1.0 r.Driver.throughput

@@ -9,6 +9,6 @@
 
 type row = { random_fraction : float; result : Wafl_workload.Driver.result }
 
-val run : ?scale:float -> ?fractions:float list -> unit -> row list
+val plan : ?scale:float -> ?fractions:float list -> unit -> row list Exp.plan
 val print : row list -> unit
 val shapes : row list -> (string * bool) list

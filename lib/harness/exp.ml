@@ -5,33 +5,66 @@ let of_env () =
   | Some s -> ( match float_of_string_opt s with Some f when f > 0.0 -> f | _ -> 1.0)
   | None -> ( match Sys.getenv_opt "WAFL_QUICK" with Some ("1" | "true") -> 0.25 | _ -> 1.0)
 
-(* When set (the --sanitize flag), every experiment spec derived from
-   [spec_base] runs under the race detector and isolation checker. *)
-let sanitize = ref false
+(* A plan is either finished or waits on one round of driver runs; the
+   continuation sees the results in the order the specs were listed. *)
+type 'a plan = Done of 'a | Need of Driver.spec list * (Driver.result list -> 'a plan)
 
-(* When set (the trace CLI / test harness), every spec derived from
-   [spec_base] attaches a tracer built by this factory. *)
-let trace : (Wafl_sim.Engine.t -> Wafl_obs.Trace.t) option ref = ref None
+let runs specs f = Need (specs, fun rs -> Done (f rs))
+let sweep points spec row = runs (List.map spec points) (List.map2 row points)
 
-(* Worker-domain fan-out for experiment sweep points (the CLI's
-   --domains flag; the bench harness and Makefile smoke targets set it
-   from WAFL_DOMAINS / the host core count).  1 = serial. *)
-let domains = ref 1
+let rec bind p f =
+  match p with Done x -> f x | Need (specs, k) -> Need (specs, fun rs -> bind (k rs) f)
 
-(* When set (the bench harness, the top CLI), every spec derived from
-   [spec_base] attaches fleet telemetry — observe-only, so results are
-   unchanged. *)
-let telemetry : Driver.telemetry option ref = ref None
+let map f p = bind p (fun x -> Done (f x))
 
-(* Experiment rows are independent seeded runs, so they execute
-   concurrently and merge in input order — byte-identical to a serial
-   sweep (tested in test_domains.ml).  Tracing forces the serial path:
-   the CLI's tracer factory captures the tracer of the *last started*
-   run through a ref, which only means something when rows start in
-   order. *)
-let par_map f xs =
-  let domains = if !trace <> None then 1 else !domains in
-  Wafl_util.Pool.map ~domains f xs
+let with_results p =
+  let rec go acc = function
+    | Done x -> Done (x, List.rev acc)
+    | Need (specs, k) -> Need (specs, fun rs -> go (List.rev_append rs acc) (k rs))
+  in
+  go [] p
+
+(* The spec with its [obs] closure (results do not depend on
+   observation) replaced by one shared value: [Hashtbl] compares keys
+   with [compare], which never looks inside physically equal closures. *)
+let key s = { s with Driver.obs = Driver.default_spec.Driver.obs }
+
+(* One round: every pending spec of every plan, deduplicated by [key] in
+   first-occurrence order, runs once on the pool; each plan's
+   continuation then gets its own results back.  Runs are pure functions
+   of their spec, so sharing one result between plans is the same as
+   re-running it, and the pool merges in input order, so the outcome is
+   byte-identical at any domain count. *)
+let execute ~domains ~run plans =
+  let rec go plans =
+    if List.for_all (function Done _ -> true | Need _ -> false) plans then
+      List.map (function Done x -> x | Need _ -> assert false) plans
+    else begin
+      let index = Hashtbl.create 64 and unique = ref [] in
+      List.iter
+        (function
+          | Done _ -> ()
+          | Need (specs, _) ->
+              List.iter
+                (fun s ->
+                  let k = key s in
+                  if not (Hashtbl.mem index k) then begin
+                    Hashtbl.add index k (Hashtbl.length index);
+                    unique := s :: !unique
+                  end)
+                specs)
+        plans;
+      let results = Array.of_list (Wafl_util.Pool.map ~domains run (List.rev !unique)) in
+      go
+        (List.map
+           (function
+             | Done _ as p -> p
+             | Need (specs, k) ->
+                 k (List.map (fun s -> results.(Hashtbl.find index (key s))) specs))
+           plans)
+    end
+  in
+  go plans
 
 let spec_base ~scale =
   let d = Driver.default_spec in
@@ -41,9 +74,6 @@ let spec_base ~scale =
     measure = Float.max 200_000.0 (d.Driver.measure *. scale);
     workload =
       Driver.Seq_write { file_blocks = max 2048 (int_of_float (16384.0 *. scale)) };
-    sanitize = !sanitize;
-    telemetry = !telemetry;
-    obs = (match !trace with Some f -> f | None -> d.Driver.obs);
   }
 
 let wa_config ?(cleaners = 4) ?max_cleaners ?(parallel_infra = true) ?(dynamic = false)

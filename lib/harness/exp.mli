@@ -8,35 +8,55 @@
 val of_env : unit -> float
 (** Scale factor from the environment; 1.0 by default. *)
 
-val sanitize : bool ref
-(** When set (the CLI's --sanitize flag), every spec derived from
-    [spec_base] runs under the race detector and isolation checker.
-    Results are bit-identical either way; any report is a bug. *)
+(** {1 Run plans}
 
-val trace : (Wafl_sim.Engine.t -> Wafl_obs.Trace.t) option ref
-(** When set (the CLI's trace subcommand), every spec derived from
-    [spec_base] attaches a tracer built by this factory; capture the
-    tracer via a [ref] inside the closure to export it after the run.
-    Tracing never changes results. *)
+    An experiment declares the driver runs it needs as a plan instead of
+    executing them: a list of specs plus a function from their results
+    to the experiment's rows.  {!execute} runs any number of plans as
+    one batch, so runs that several experiments share (Figure 6's two
+    columns are Figure 4 rows, the history and crossover endpoints are
+    the White Alligator row, ...) execute once. *)
 
-val telemetry : Wafl_workload.Driver.telemetry option ref
-(** When set (the bench harness, the CLI's top subcommand), every spec
-    derived from [spec_base] attaches fleet telemetry rollups and the
-    health watchdog.  Observe-only; results are bit-identical either
-    way. *)
+type 'a plan
+(** A computation that needs driver results to produce an ['a]. *)
 
-val domains : int ref
-(** Worker-domain count for experiment fan-out (the CLI's --domains
-    flag).  1 (the default) runs sweeps serially; [n > 1] lets
-    {!par_map} execute up to [n] rows concurrently. *)
+val runs : Wafl_workload.Driver.spec list -> (Wafl_workload.Driver.result list -> 'a) -> 'a plan
+(** [runs specs f] needs one result per spec; [f] receives them in the
+    order of [specs]. *)
 
-val par_map : ('a -> 'b) -> 'a list -> 'b list
-(** Map over independent sweep points (experiment rows, scenario
-    matrices), executing up to [!domains] of them concurrently on
-    worker domains ({!Wafl_util.Pool}).  Results keep input order, so
-    the sweep is byte-identical to [List.map] at any domain count.
-    When a tracer factory is installed ({!trace}), falls back to
-    serial: trace capture is start-order-dependent. *)
+val sweep :
+  'p list ->
+  ('p -> Wafl_workload.Driver.spec) ->
+  ('p -> Wafl_workload.Driver.result -> 'row) ->
+  'row list plan
+(** [sweep points spec row]: one run per sweep point, one row per run. *)
+
+val bind : 'a plan -> ('a -> 'b plan) -> 'b plan
+(** Sequence two rounds: the second plan's specs may depend on the
+    first plan's value (Figure 8 places its knee load from the peak
+    round). *)
+
+val map : ('a -> 'b) -> 'a plan -> 'b plan
+
+val with_results : 'a plan -> ('a * Wafl_workload.Driver.result list) plan
+(** Also return every result the plan consumed, in the order it asked
+    for them (a spec listed twice appears twice). *)
+
+val execute :
+  domains:int ->
+  run:(Wafl_workload.Driver.spec -> Wafl_workload.Driver.result) ->
+  'a plan list ->
+  'a list
+(** Execute the plans as one batch, round by round: each round collects
+    every pending spec of every plan, deduplicates them structurally
+    (every field but [obs]), applies [run] once per unique spec on up to
+    [domains] worker domains ({!Wafl_util.Pool.map}), and hands each
+    plan its results.  Returns the plans' values in input order.
+    Byte-identical at any [domains]: runs are pure functions of their
+    spec and the pool merges in input order.  [run] is how the caller
+    shapes execution — e.g. [fun s -> Driver.run { s with sanitize }]
+    — and with [domains = 1] it is applied in first-occurrence order,
+    which is what capturing the last run's tracer relies on. *)
 
 val spec_base : scale:float -> Wafl_workload.Driver.spec
 (** The common 20-core paper-platform spec: SSD aggregate of 2 RAID

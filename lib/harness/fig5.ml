@@ -3,13 +3,12 @@ open Wafl_util
 
 type row = { threads : int; result : Driver.result }
 
-let run ?(scale = 1.0) ?(thread_counts = [ 1; 2; 3; 4; 6; 8 ]) () =
+let plan ?(scale = 1.0) ?(thread_counts = [ 1; 2; 3; 4; 6; 8 ]) () =
   let spec = Exp.spec_base ~scale in
-  Exp.par_map
+  Exp.sweep thread_counts
     (fun threads ->
-      let cfg = Exp.wa_config ~cleaners:threads ~max_cleaners:threads () in
-      { threads; result = Driver.run { spec with Driver.cfg } })
-    thread_counts
+      { spec with Driver.cfg = Exp.wa_config ~cleaners:threads ~max_cleaners:threads () })
+    (fun threads result -> { threads; result })
 
 let print rows =
   Printf.printf "\nFigure 5: sequential write vs number of cleaner threads\n";

@@ -3,13 +3,15 @@ open Wafl_util
 
 type row = { parallel : bool; result : Driver.result }
 
-let run ?(scale = 1.0) () =
+(* Both columns are Figure 4 rows ("parallel cleaner threads" and
+   "white alligator"); batched with Figure 4 they run once. *)
+let plan ?(scale = 1.0) () =
   let spec = Exp.spec_base ~scale in
-  List.map
+  Exp.sweep [ false; true ]
     (fun parallel ->
       let cfg = Exp.wa_config ~cleaners:6 ~max_cleaners:6 ~parallel_infra:parallel () in
-      { parallel; result = Driver.run { spec with Driver.cfg } })
-    [ false; true ]
+      { spec with Driver.cfg })
+    (fun parallel result -> { parallel; result })
 
 let print rows =
   Printf.printf "\nFigure 6: infrastructure parallelization (sequential write, parallel cleaners)\n";

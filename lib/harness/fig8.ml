@@ -13,7 +13,7 @@ let walloc_config = function
   | Static n -> Exp.wa_config ~cleaners:n ~max_cleaners:n ()
   | Dynamic -> Exp.wa_config ~cleaners:1 ~max_cleaners:4 ~dynamic:true ()
 
-let run ?(scale = 1.0) () =
+let plan ?(scale = 1.0) () =
   (* A small NVRAM puts peak load in the back-to-back-CP regime where the
      cleaner-thread count governs both throughput and latency. *)
   (* A controller-sized read cache keeps the OLTP hot set resident, so
@@ -28,9 +28,9 @@ let run ?(scale = 1.0) () =
   in
   let configs = [ Static 1; Static 2; Static 3; Static 4; Dynamic ] in
   (* Peak: closed loop at full tilt. *)
-  let peaks =
-    Exp.par_map (fun c -> (c, Driver.run { spec with Driver.cfg = walloc_config c })) configs
-  in
+  Exp.bind
+    (Exp.sweep configs (fun c -> { spec with Driver.cfg = walloc_config c }) (fun c r -> (c, r)))
+  @@ fun peaks ->
   let best_peak =
     List.fold_left (fun acc (_, r) -> Float.max acc r.Driver.throughput) 0.0 peaks
   in
@@ -43,13 +43,9 @@ let run ?(scale = 1.0) () =
   let think =
     Float.max 20.0 ((float_of_int spec.Driver.clients /. target *. 1_000_000.0) -. 60.0)
   in
-  Exp.par_map
-    (fun (c, peak) ->
-      let knee =
-        Driver.run { spec with Driver.cfg = walloc_config c; think_time = think }
-      in
-      { config = c; peak; knee })
-    peaks
+  Exp.sweep peaks
+    (fun (c, _) -> { spec with Driver.cfg = walloc_config c; think_time = think })
+    (fun (config, peak) knee -> { config; peak; knee })
 
 let print rows =
   Printf.printf "\nFigure 8: OLTP — peak throughput and off-peak (knee) latency vs cleaner threads\n";

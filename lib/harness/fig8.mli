@@ -15,6 +15,6 @@ type row = {
   knee : Wafl_workload.Driver.result;  (** reduced offered load *)
 }
 
-val run : ?scale:float -> unit -> row list
+val plan : ?scale:float -> unit -> row list Exp.plan
 val print : row list -> unit
 val shapes : row list -> (string * bool) list

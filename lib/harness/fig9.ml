@@ -16,24 +16,19 @@ let walloc_config = function
 let think_of_level ~levels level =
   if level >= levels then 0.0 else 320.0 *. float_of_int (levels - level) /. float_of_int levels
 
-let run ?(scale = 1.0) ?(levels = 4) () =
+let plan ?(scale = 1.0) ?(levels = 4) () =
   let spec = Exp.spec_base ~scale in
-  (* Fan out across configs; the load levels within one series stay
-     serial (one level of parallelism — see Wafl_util.Pool). *)
-  Exp.par_map
-    (fun config ->
-      let cfg = walloc_config config in
-      let points =
-        List.init levels (fun i ->
-            let level = i + 1 in
-            let think = think_of_level ~levels level in
-            {
-              offered_level = level;
-              result = Driver.run { spec with Driver.cfg; think_time = think };
-            })
-      in
-      { config; points })
-    [ Static 2; Static 3; Static 4; Dynamic ]
+  let configs = [ Static 2; Static 3; Static 4; Dynamic ] in
+  (* Series-major: every config's load levels, lowest first. *)
+  let points = List.concat_map (fun c -> List.init levels (fun i -> (c, i + 1))) configs in
+  Exp.sweep points
+    (fun (c, level) ->
+      { spec with Driver.cfg = walloc_config c; think_time = think_of_level ~levels level })
+    (fun (_, offered_level) result -> { offered_level; result })
+  |> Exp.map (fun points ->
+         List.mapi
+           (fun i config -> { config; points = List.filteri (fun j _ -> j / levels = i) points })
+           configs)
 
 let print series =
   Printf.printf "\nFigure 9: throughput vs latency at increasing load (sequential write)\n";

@@ -126,8 +126,8 @@ let spec ~scale ~scenario =
         open_loop = Some { Driver.arrivals = b2b_arrivals; qos = None };
       }
 
-let run_one ~scale scenario = { scenario; r = Driver.run (spec ~scale ~scenario) }
-let run ?(scale = 1.0) () = Exp.par_map (run_one ~scale) scenarios
+let plan ?(scale = 1.0) () =
+  Exp.sweep scenarios (fun scenario -> spec ~scale ~scenario) (fun scenario r -> { scenario; r })
 let find rows scenario = List.find (fun row -> row.scenario = scenario) rows
 
 (* --- bench accessors ---------------------------------------------------- *)

@@ -11,24 +11,20 @@ let configs =
     ("2011 white alligator", Exp.wa_config ~cleaners:6 ~max_cleaners:6 ());
   ]
 
-let run ?(scale = 1.0) () =
+(* The 2011 row is Figure 4's "white alligator" row. *)
+let plan ?(scale = 1.0) () =
   let spec = Exp.spec_base ~scale in
-  (* Rows run concurrently (Exp.par_map); the 2003 baseline is the first
-     row's result, read back after the sweep. *)
-  let results =
-    Exp.par_map
-      (fun (era, cfg) ->
-        let cfg = { cfg with Wafl_core.Walloc.cp_timer = Some 250_000.0 } in
-        (era, Driver.run { spec with Driver.cfg }))
-      configs
-  in
-  let baseline =
-    match results with (_, r) :: _ -> r.Driver.throughput | [] -> 0.0
-  in
-  List.map
-    (fun (era, result) ->
-      { era; result; gain = Exp.gain_pct ~baseline result.Driver.throughput })
-    results
+  Exp.sweep configs
+    (fun (_, cfg) ->
+      { spec with Driver.cfg = { cfg with Wafl_core.Walloc.cp_timer = Some 250_000.0 } })
+    (fun (era, _) result -> (era, result))
+  |> Exp.map (fun results ->
+         (* the 2006 baseline is the first row *)
+         let baseline = match results with (_, r) :: _ -> r.Driver.throughput | [] -> 0.0 in
+         List.map
+           (fun (era, result) ->
+             { era; result; gain = Exp.gain_pct ~baseline result.Driver.throughput })
+           results)
 
 let print rows =
   Printf.printf "\nHistory ablation: three generations of WAFL write allocation (seq write)\n";

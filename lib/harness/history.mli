@@ -15,6 +15,6 @@
 
 type row = { era : string; result : Wafl_workload.Driver.result; gain : float }
 
-val run : ?scale:float -> unit -> row list
+val plan : ?scale:float -> unit -> row list Exp.plan
 val print : row list -> unit
 val shapes : row list -> (string * bool) list

@@ -80,8 +80,7 @@ let hot row =
   | Isolated -> None
   | Noisy_off | Noisy_on -> Some row.r.Driver.tenants.(0)
 
-let run_one ~scale scenario =
-  let r = Driver.run (spec ~scale ~scenario) in
+let make_row scenario r =
   let victim_whist = Histogram.create () in
   let row = { scenario; r; victim_whist } in
   List.iter
@@ -89,7 +88,8 @@ let run_one ~scale scenario =
     (victims row);
   row
 
-let run ?(scale = 1.0) () = Exp.par_map (run_one ~scale) [ Isolated; Noisy_off; Noisy_on ]
+let plan ?(scale = 1.0) () =
+  Exp.sweep [ Isolated; Noisy_off; Noisy_on ] (fun scenario -> spec ~scale ~scenario) make_row
 
 let find rows scenario = List.find (fun row -> row.scenario = scenario) rows
 

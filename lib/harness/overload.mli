@@ -19,7 +19,7 @@ type row = {
       (** merged end-to-end write latency of all victim tenants *)
 }
 
-val run : ?scale:float -> unit -> row list
+val plan : ?scale:float -> unit -> row list Exp.plan
 (** All three scenarios, deterministic per seed (the spec seed comes from
     {!Exp.spec_base}). *)
 

@@ -3,7 +3,7 @@ open Wafl_util
 
 type row = { name : string; result : Driver.result; gain : float }
 
-let run ?(cleaners = 6) ~workload ~scale () =
+let plan ?(cleaners = 6) ~workload ~scale () =
   let base_spec = { (Exp.spec_base ~scale) with Driver.workload } in
   let configs =
     [
@@ -14,19 +14,16 @@ let run ?(cleaners = 6) ~workload ~scale () =
       ("white alligator (both)", Exp.wa_config ~cleaners ~max_cleaners:cleaners ~parallel_infra:true ());
     ]
   in
-  (* Rows run concurrently (Exp.par_map), so the serialized baseline is
-     taken from the first row's result afterwards, not via a ref inside
-     the loop. *)
-  let results =
-    Exp.par_map (fun (name, cfg) -> (name, Driver.run { base_spec with Driver.cfg })) configs
-  in
-  let baseline =
-    match results with (_, r) :: _ -> r.Driver.throughput | [] -> 0.0
-  in
-  List.map
-    (fun (name, result) ->
-      { name; result; gain = Exp.gain_pct ~baseline result.Driver.throughput })
-    results
+  Exp.sweep configs
+    (fun (_, cfg) -> { base_spec with Driver.cfg })
+    (fun (name, _) result -> (name, result))
+  |> Exp.map (fun results ->
+         (* the serialized baseline is the first row *)
+         let baseline = match results with (_, r) :: _ -> r.Driver.throughput | [] -> 0.0 in
+         List.map
+           (fun (name, result) ->
+             { name; result; gain = Exp.gain_pct ~baseline result.Driver.throughput })
+           results)
 
 let print ~title rows =
   Printf.printf "\n%s\n" title;

@@ -9,7 +9,12 @@ type row = {
   gain : float;  (** throughput gain over the serialized baseline, % *)
 }
 
-val run : ?cleaners:int -> workload:Wafl_workload.Driver.workload -> scale:float -> unit -> row list
+val plan :
+  ?cleaners:int ->
+  workload:Wafl_workload.Driver.workload ->
+  scale:float ->
+  unit ->
+  row list Exp.plan
 (** Rows in order: serialized baseline, parallel infrastructure only,
     parallel cleaners only, full White Alligator. [cleaners] (default 6)
     is the thread count used in the "parallel cleaners" configurations. *)

@@ -23,7 +23,7 @@ type open_loop = {
 (* Always-on fleet telemetry (DESIGN.md §4.15): bounded-memory per-volume
    rollups plus the health watchdog, evaluated lazily from write-side
    calls — attaching it never perturbs a run.  Pure data so specs stay
-   structurally comparable (and memoizable). *)
+   structurally comparable (and deduplicable by the run executor). *)
 type telemetry = {
   rollup : Wafl_obs.Rollup.config;
   rules : Wafl_obs.Health.rule list;
@@ -57,6 +57,7 @@ type spec = {
   seed : int;
   sanitize : bool;
   telemetry : telemetry option;
+  chaos : Aggregate.chaos;
   obs : Engine.t -> Wafl_obs.Trace.t;
       (* tracer factory, called once with the run's engine; the caller
          captures the returned tracer via a closure to read it after the
@@ -89,6 +90,7 @@ let default_spec =
     seed = 42;
     sanitize = false;
     telemetry = None;
+    chaos = Aggregate.no_chaos;
     obs = (fun _ -> Wafl_obs.Trace.disabled);
   }
 
@@ -152,6 +154,7 @@ type result = {
   flash_gc_stall_us : float;
   waf : float;  (** (host + gc pages) / host pages over the window; 1.0 when idle *)
   telemetry : telemetry_result option;  (** rollup snapshot + health events, when enabled *)
+  virtual_us : float;  (** the run's final virtual clock: set-up, warm-up and window *)
 }
 
 let cores_write_alloc r = r.cores_cleaner +. r.cores_infra
@@ -245,54 +248,70 @@ type tenant_acc = {
 
 let stripe_of_fbn fbn = fbn / 1024 mod 16
 
-(* Suite-level memoization.  A run is a pure function of its spec (the
-   tracer factory aside), and the figure suite re-executes several
-   byte-identical specs: Figure 6's two rows are Figure 4/5 rows, the
-   history and crossover endpoints are the white-alligator row, and
-   Figure 9's top-load rows are Figure 5's.  When enabled, a repeated
-   spec returns the cached result instead of re-simulating — the printed
-   numbers are identical because runs are deterministic.  Off by
-   default: traced and test runs must re-execute (a cache hit would skip
-   the tracer factory's side effects), so only the bench harness turns
-   this on. *)
-let memoize = ref false
+(* --- build the server ----------------------------------------------------- *)
 
-(* Every spec field except [obs] (a closure; bench runs all share the
-   default factory, and results do not depend on observation). *)
-let memo_key spec =
-  ( ( spec.cores,
-      spec.workload,
-      spec.clients,
-      spec.think_time,
-      spec.volumes,
-      spec.cfg,
-      spec.cost ),
-    ( spec.geometry,
-      spec.nvlog_half,
-      spec.watermarks,
-      spec.open_loop,
-      spec.flash,
-      spec.cache_blocks,
-      spec.warmup,
-      spec.measure,
-      spec.seed,
-      spec.sanitize,
-      spec.telemetry ) )
+(* The simulated storage server under test. *)
+type server = {
+  eng : Engine.t;
+  obs : Wafl_obs.Trace.t;  (* what the stack records into *)
+  agg : Aggregate.t;
+  walloc : Wafl_core.Walloc.t;
+  cp : Wafl_core.Cp.t;
+  infra : Wafl_core.Infra.t;
+  pool : Wafl_core.Cleaner_pool.t;
+  telem : (Wafl_obs.Rollup.t * Wafl_obs.Health.t) option;
+}
 
-(* A memo entry is either a finished result or a claim by the run that
-   is currently executing the spec: with the harness fanning runs out
-   over worker domains (Wafl_util.Pool), two rows can ask for the same
-   spec concurrently, and both executing would double-count suite-level
-   accumulators (the virtual-time total below).  The second caller
-   waits on [memo_cond] for the first to publish.  [memo_lock] also
-   guards the other process-wide accumulators at the bottom of this
-   file ([latency_sink], the bench virtual-time counter): host-side
-   locking only, never held across simulated time. *)
-let memo_lock = Mutex.create ()
-let memo_cond = Condition.create ()
-let memo_tbl : (_, [ `Done of result | `Running ]) Hashtbl.t = Hashtbl.create 32
+(* Fleet telemetry: register cumulative sources over the existing
+   counters and metrics; windows seal lazily from the per-op feeds, so
+   no fiber is spawned and the run stays bit-identical. *)
+let attach_telemetry tcfg eng ~user_obs ~obs agg cp =
+  let roll = Wafl_obs.Rollup.create ~config:tcfg.rollup eng in
+  let health = Wafl_obs.Health.create ~rules:tcfg.rules roll in
+  let m = Wafl_obs.Trace.metrics obs in
+  let ctrs = Aggregate.counters agg in
+  Wafl_obs.Rollup.add_source roll ~name:"cp.count" (fun () ->
+      float_of_int (Wafl_core.Cp.cps_completed cp));
+  Wafl_obs.Rollup.add_source roll ~name:"cp.b2b" (fun () ->
+      float_of_int (Counters.read ctrs "b2b_cps"));
+  Wafl_obs.Rollup.add_source roll ~name:"nvlog.stall_us" (fun () -> Aggregate.stall_time agg);
+  Wafl_obs.Rollup.add_source roll ~name:"nvlog.hard_dwell_us" (fun () ->
+      Aggregate.hard_dwell_time agg);
+  Wafl_obs.Rollup.add_source roll ~name:"flash.gc_stall_us" (fun () ->
+      List.fold_left
+        (fun acc ftl -> acc +. Wafl_flash.Ftl.gc_stall_us ftl)
+        0.0 (Aggregate.ftls agg));
+  Wafl_obs.Rollup.add_source roll ~name:"rebuild.blocks" (fun () ->
+      float_of_int
+        (Array.fold_left
+           (fun acc r -> acc + Wafl_storage.Raid.rebuild_blocks r)
+           0 (Aggregate.raid_groups agg)));
+  Wafl_obs.Rollup.add_source roll ~name:"qos.shed_ops" (fun () ->
+      Wafl_obs.Metrics.counter_value m "qos.shed_ops");
+  (* Ring drops only exist on a user-attached tracer; the internal
+     metrics-only tracer records nothing. *)
+  if Wafl_obs.Trace.enabled user_obs then
+    Wafl_obs.Rollup.add_source roll ~name:"trace.drops" (fun () ->
+        float_of_int (Wafl_obs.Trace.dropped user_obs));
+  Wafl_obs.Rollup.add_gauge roll ~name:"rebuild.active" (fun () ->
+      float_of_int
+        (Array.fold_left
+           (fun acc r -> acc + if Wafl_storage.Raid.degraded r then 1 else 0)
+           0 (Aggregate.raid_groups agg)));
+  List.iter
+    (fun name -> Wafl_obs.Rollup.add_hsource roll ~name (fun () -> Wafl_obs.Metrics.histo m name))
+    [
+      "op.e2e_us.write";
+      "qos.queue_wait_us";
+      "cp.duration_us";
+      "cp.phase_us.cleaning";
+      "cp.phase_us.flush";
+      "cp.phase_us.metafiles";
+      "cp.phase_us.io-flush";
+    ];
+  (roll, health)
 
-let run_uncached spec =
+let build_server spec =
   let eng = Engine.create ~cores:spec.cores ~sanitize:spec.sanitize () in
   let user_obs = spec.obs eng in
   (* Telemetry needs a live metrics registry; when no full tracer is
@@ -305,82 +324,42 @@ let run_uncached spec =
   let agg =
     Aggregate.create eng ~cost:spec.cost ~geometry:spec.geometry ~nvlog_half:spec.nvlog_half
       ?nvlog_watermarks:spec.watermarks ?flash:spec.flash ~cache_blocks:spec.cache_blocks ~obs
-      ()
+      ~chaos:spec.chaos ()
   in
   let walloc = Wafl_core.Walloc.create ~obs agg spec.cfg in
   let cp = Wafl_core.Walloc.cp walloc in
-  let infra = Wafl_core.Walloc.infra walloc in
-  let pool = Wafl_core.Walloc.pool walloc in
-  (* Fleet telemetry: register cumulative sources over the existing
-     counters and metrics; windows seal lazily from the per-op feeds
-     below, so no fiber is spawned and the run stays bit-identical. *)
   let telem =
-    match spec.telemetry with
-    | None -> None
-    | Some tcfg ->
-        let roll = Wafl_obs.Rollup.create ~config:tcfg.rollup eng in
-        let health = Wafl_obs.Health.create ~rules:tcfg.rules roll in
-        let m = Wafl_obs.Trace.metrics obs in
-        let ctrs = Aggregate.counters agg in
-        Wafl_obs.Rollup.add_source roll ~name:"cp.count" (fun () ->
-            float_of_int (Wafl_core.Cp.cps_completed cp));
-        Wafl_obs.Rollup.add_source roll ~name:"cp.b2b" (fun () ->
-            float_of_int (Counters.read ctrs "b2b_cps"));
-        Wafl_obs.Rollup.add_source roll ~name:"nvlog.stall_us" (fun () ->
-            Aggregate.stall_time agg);
-        Wafl_obs.Rollup.add_source roll ~name:"nvlog.hard_dwell_us" (fun () ->
-            Aggregate.hard_dwell_time agg);
-        Wafl_obs.Rollup.add_source roll ~name:"flash.gc_stall_us" (fun () ->
-            List.fold_left
-              (fun acc ftl -> acc +. Wafl_flash.Ftl.gc_stall_us ftl)
-              0.0 (Aggregate.ftls agg));
-        Wafl_obs.Rollup.add_source roll ~name:"rebuild.blocks" (fun () ->
-            float_of_int
-              (Array.fold_left
-                 (fun acc r -> acc + Wafl_storage.Raid.rebuild_blocks r)
-                 0 (Aggregate.raid_groups agg)));
-        Wafl_obs.Rollup.add_source roll ~name:"qos.shed_ops" (fun () ->
-            Wafl_obs.Metrics.counter_value m "qos.shed_ops");
-        (* Ring drops only exist on a user-attached tracer; the internal
-           metrics-only tracer records nothing. *)
-        if Wafl_obs.Trace.enabled user_obs then
-          Wafl_obs.Rollup.add_source roll ~name:"trace.drops" (fun () ->
-              float_of_int (Wafl_obs.Trace.dropped user_obs));
-        Wafl_obs.Rollup.add_gauge roll ~name:"rebuild.active" (fun () ->
-            float_of_int
-              (Array.fold_left
-                 (fun acc r -> acc + if Wafl_storage.Raid.degraded r then 1 else 0)
-                 0 (Aggregate.raid_groups agg)));
-        List.iter
-          (fun name -> Wafl_obs.Rollup.add_hsource roll ~name (fun () -> Wafl_obs.Metrics.histo m name))
-          [
-            "op.e2e_us.write";
-            "qos.queue_wait_us";
-            "cp.duration_us";
-            "cp.phase_us.cleaning";
-            "cp.phase_us.flush";
-            "cp.phase_us.metafiles";
-            "cp.phase_us.io-flush";
-          ];
-        Some (roll, health)
+    Option.map (fun tcfg -> attach_telemetry tcfg eng ~user_obs ~obs agg cp) spec.telemetry
   in
-  let files_per_client, file_blocks =
-    match spec.workload with
-    | Seq_write { file_blocks }
-    | Rand_write { file_blocks }
-    | Skewed_write { file_blocks; _ }
-    | Mixed_write { file_blocks; _ }
-    | Oltp { file_blocks; _ } ->
-        (1, file_blocks)
-    | Nfs_mix { files_per_client; file_blocks } -> (files_per_client, file_blocks)
-  in
-  let working_set = spec.clients * files_per_client * file_blocks in
-  let capacity = Geometry.total_data_blocks spec.geometry in
-  if working_set * 3 / 2 >= capacity then
-    invalid_arg
-      (Printf.sprintf "Driver.run: working set %d too large for aggregate of %d blocks"
-         working_set capacity);
-  (* --- setup and prefill (not measured) --- *)
+  {
+    eng;
+    obs;
+    agg;
+    walloc;
+    cp;
+    infra = Wafl_core.Walloc.infra walloc;
+    pool = Wafl_core.Walloc.pool walloc;
+    telem;
+  }
+
+(* --- populate (not measured) --------------------------------------------- *)
+
+let files_per_client spec =
+  match spec.workload with
+  | Seq_write { file_blocks }
+  | Rand_write { file_blocks }
+  | Skewed_write { file_blocks; _ }
+  | Mixed_write { file_blocks; _ }
+  | Oltp { file_blocks; _ } ->
+      (1, file_blocks)
+  | Nfs_mix { files_per_client; file_blocks } -> (files_per_client, file_blocks)
+
+(* Create the volumes and every client's files, and write each block
+   once so steady-state writes are overwrites (as on a system that has
+   been running). *)
+let populate spec srv =
+  let { eng; agg; walloc; cp; _ } = srv in
+  let files_per_client, file_blocks = files_per_client spec in
   let client_files = Array.make spec.clients None in
   let setup_done = ref false in
   ignore
@@ -401,8 +380,6 @@ let run_uncached spec =
            in
            client_files.(c) <- Some { vol; files; file_blocks }
          done;
-         (* Prefill every block once so steady-state writes are
-            overwrites (as on a system that has been running). *)
          let token = ref 0L in
          Array.iter
            (fun cf ->
@@ -433,19 +410,18 @@ let run_uncached spec =
   while not !setup_done do
     Engine.run ~until:(Engine.now eng +. 1_000_000.0) eng
   done;
-  (* --- clients --- *)
-  let sched = Wafl_core.Walloc.scheduler walloc in
-  let rec_ =
-    {
-      recording = false;
-      ops = 0;
-      reads = 0;
-      writes = 0;
-      metas = 0;
-      hist = Wafl_util.Histogram.create ();
-      whist = Wafl_util.Histogram.create ();
-    }
-  in
+  Array.map (function Some cf -> cf | None -> assert false) client_files
+
+(* --- load: client operations ---------------------------------------------- *)
+
+(* One client operation, executed as one causal root: the context
+   follows the op through its Waffinity message (and any downstream
+   handoffs), and the op span below closes the request's end-to-end
+   interval.  Shared by the closed- and open-loop paths; [started] is
+   the op's arrival time (for open loop, before any QoS delay). *)
+let make_exec_op spec srv =
+  let { eng; obs; agg; cp; telem; _ } = srv in
+  let sched = Wafl_core.Walloc.scheduler srv.walloc in
   (* End-to-end latency decomposition (DESIGN.md §4.10): per-op-kind
      histograms plus the time writes spend throttled behind CP progress.
      On a disabled tracer these land in a throwaway registry. *)
@@ -455,13 +431,6 @@ let run_uncached spec =
   let h_e2e_write = Wafl_obs.Metrics.histogram m "op.e2e_us.write" in
   let h_e2e_meta = Wafl_obs.Metrics.histogram m "op.e2e_us.meta" in
   let h_throttle = Wafl_obs.Metrics.histogram m "op.throttle_us" in
-  let h_qos_wait = Wafl_obs.Metrics.histogram m "qos.queue_wait_us" in
-  let c_qos_admitted = Wafl_obs.Metrics.counter m "qos.admitted_ops" in
-  let c_qos_throttled = Wafl_obs.Metrics.counter m "qos.throttled_ops" in
-  let c_qos_shed = Wafl_obs.Metrics.counter m "qos.shed_ops" in
-  let stop = ref false in
-  let master_rng = Wafl_util.Rng.create ~seed:spec.seed in
-  let active_samples = ref 0 and active_sum = ref 0 in
   (* Waiting for NVLog space is where CP back-pressure surfaces in
      client latency; measure it separately so the decomposition can
      distinguish throttling from service time. *)
@@ -473,12 +442,7 @@ let run_uncached spec =
     end
     else Aggregate.wait_for_log_space agg
   in
-  (* One client operation, executed as one causal root: the context
-     follows the op through its Waffinity message (and any downstream
-     handoffs), and the op span below closes the request's end-to-end
-     interval.  Shared by the closed- and open-loop paths; [started] is
-     the op's arrival time (for open loop, before any QoS delay). *)
-  let exec_op ~cf ~content ~started op =
+  fun ~cf ~content ~started op ->
     Wafl_obs.Causal.with_root obs (fun () ->
         let kind =
           match op with
@@ -555,14 +519,319 @@ let run_uncached spec =
         end;
         (match telem with
         | Some (roll, _) when kind = `W ->
-            Wafl_obs.Rollup.observe_write roll ~vol:(Volume.id cf.vol)
-              (Engine.now eng -. started)
+            Wafl_obs.Rollup.observe_write roll ~vol:(Volume.id cf.vol) (Engine.now eng -. started)
         | _ -> ());
         kind)
+
+let telem_count srv vol kind =
+  match srv.telem with Some (roll, _) -> Wafl_obs.Rollup.count roll ~vol kind | None -> ()
+
+(* Closed loop: each client keeps one op outstanding. *)
+let closed_loop spec srv ~cfs ~rng:master_rng ~rec_ ~stop exec_op =
+  let eng = srv.eng in
+  for c = 0 to spec.clients - 1 do
+    let cf = cfs.(c) in
+    let rng = Wafl_util.Rng.split master_rng in
+    let cursor = ref (Wafl_util.Rng.int rng (total_blocks cf)) in
+    let token = ref (Int64.of_int ((c + 1) * 1_000_000)) in
+    ignore
+      (Engine.spawn eng ~label:"client" (fun () ->
+           while not !stop do
+             let started = Engine.now eng in
+             let op = gen_op spec.workload rng cf cursor in
+             let content =
+               match op with
+               | Write _ ->
+                   token := Int64.add !token 1L;
+                   !token
+               | Read _ | Meta -> 0L
+             in
+             telem_count srv (Volume.id cf.vol) `Admitted;
+             let kind = exec_op ~cf ~content ~started op in
+             telem_count srv (Volume.id cf.vol) `Completed;
+             if rec_.recording then begin
+               (* the recorder is shared by every client fiber; the
+                  real system's stats counters are atomics *)
+               Engine.probe_atomic eng ~shared:"driver.recorder";
+               rec_.ops <- rec_.ops + 1;
+               let e2e = Engine.now eng -. started in
+               (match kind with
+               | `R -> rec_.reads <- rec_.reads + 1
+               | `W ->
+                   rec_.writes <- rec_.writes + 1;
+                   Wafl_util.Histogram.add rec_.whist e2e
+               | `M -> rec_.metas <- rec_.metas + 1);
+               Wafl_util.Histogram.add rec_.hist e2e
+             end;
+             if spec.think_time > 0.0 then
+               Engine.sleep (Wafl_util.Rng.exponential rng ~mean:spec.think_time)
+             else Engine.yield ()
+           done))
+  done
+
+(* Open loop: tenant i's arrival fiber issues ops on its own clock (each
+   op runs in a freshly spawned fiber), optionally behind per-volume QoS
+   admission.  An op arriving inside the measure window is recorded at
+   completion — including after the window closes — so queueing
+   inflicted by overload is visible rather than censored; ops still in
+   flight when the measurement ends show up as admitted - completed
+   backlog. *)
+let open_loop spec srv ol ~cfs ~rng:master_rng ~rec_ ~stop ~tstats ~qos_meters exec_op =
+  let eng = srv.eng in
+  let h_qos_wait, c_qos_admitted, c_qos_throttled, c_qos_shed = qos_meters in
+  let qos = Option.map (Wafl_qos.Qos.create ~eng) ol.qos in
+  List.iteri
+    (fun i proc ->
+      let cf = cfs.(i mod spec.clients) in
+      let rng = Wafl_util.Rng.split master_rng in
+      let arr = Arrival.start proc ~rng in
+      let cursor = ref (Wafl_util.Rng.int rng (total_blocks cf)) in
+      let token = ref (Int64.of_int ((i + 1) * 1_000_000)) in
+      let st = tstats.(i) in
+      ignore
+        (Engine.spawn eng ~label:"arrival" (fun () ->
+             while not !stop do
+               Engine.sleep (Arrival.next arr ~now:(Engine.now eng));
+               if not !stop then begin
+                 (* per-tenant accounting is updated from this arrival
+                    fiber and every op-completion fiber *)
+                 Engine.probe_atomic eng ~shared:"driver.tenants";
+                 let windowed = rec_.recording in
+                 if windowed then st.a_offered <- st.a_offered + 1;
+                 let op = gen_op spec.workload rng cf cursor in
+                 let content =
+                   match op with
+                   | Write _ ->
+                       token := Int64.add !token 1L;
+                       !token
+                   | Read _ | Meta -> 0L
+                 in
+                 let verdict =
+                   match qos with
+                   | None -> `Admit
+                   | Some q -> Wafl_qos.Qos.admit q ~vol:(Volume.id cf.vol) ~now:(Engine.now eng)
+                 in
+                 match verdict with
+                 | `Shed ->
+                     if windowed then st.a_shed <- st.a_shed + 1;
+                     telem_count srv (Volume.id cf.vol) `Shed;
+                     Wafl_obs.Metrics.incr c_qos_shed
+                 | (`Admit | `Delay _) as verdict ->
+                     let delay = match verdict with `Delay d -> d | `Admit -> 0.0 in
+                     if windowed then begin
+                       st.a_admitted <- st.a_admitted + 1;
+                       if delay > 0.0 then st.a_throttled <- st.a_throttled + 1
+                     end;
+                     telem_count srv (Volume.id cf.vol) `Admitted;
+                     if delay > 0.0 then telem_count srv (Volume.id cf.vol) `Throttled;
+                     Wafl_obs.Metrics.incr c_qos_admitted;
+                     if delay > 0.0 then begin
+                       Wafl_obs.Metrics.incr c_qos_throttled;
+                       Wafl_obs.Metrics.observe h_qos_wait delay
+                     end;
+                     let started = Engine.now eng in
+                     ignore
+                       (Engine.spawn eng ~label:"client" (fun () ->
+                            if delay > 0.0 then Engine.sleep delay;
+                            let kind = exec_op ~cf ~content ~started op in
+                            telem_count srv (Volume.id cf.vol) `Completed;
+                            let e2e = Engine.now eng -. started in
+                            if windowed then begin
+                              Engine.probe_atomic eng ~shared:"driver.tenants";
+                              Engine.probe_atomic eng ~shared:"driver.recorder";
+                              st.a_completed <- st.a_completed + 1;
+                              rec_.ops <- rec_.ops + 1;
+                              (match kind with
+                              | `R -> rec_.reads <- rec_.reads + 1
+                              | `W ->
+                                  rec_.writes <- rec_.writes + 1;
+                                  Wafl_util.Histogram.add rec_.whist e2e;
+                                  Wafl_util.Histogram.add st.a_whist e2e
+                              | `M -> rec_.metas <- rec_.metas + 1);
+                              Wafl_util.Histogram.add rec_.hist e2e
+                            end))
+               end
+             done)))
+    ol.arrivals
+
+(* --- measure ------------------------------------------------------------- *)
+
+(* Cumulative counters, sampled at the start and the end of the window;
+   a result reports their difference. *)
+type sample = {
+  s_cps : int;
+  s_buffers : int;
+  s_allocated : int;
+  s_freed : int;
+  s_touched : int;
+  s_imsgs : int;
+  s_cmsgs : int;
+  s_waits : int;
+  s_full : int;
+  s_partial : int;
+  s_stall : float;
+  s_fhost : int;
+  s_fgc : int;
+  s_ferase : int;
+  s_fstall : float;
+  s_b2b : int;
+  s_b2b_ep : int;
+  s_exhausted : int;
+}
+
+let sample srv =
+  let { agg; cp; infra; pool; _ } = srv in
+  let stripes_of f = Array.fold_left (fun acc r -> acc + f r) 0 (Aggregate.raid_groups agg) in
+  let ftls = Aggregate.ftls agg in
+  let flash_sum f = List.fold_left (fun acc ftl -> acc + f ftl) 0 ftls in
+  let ctrs = Aggregate.counters agg in
+  {
+    s_cps = Wafl_core.Cp.cps_completed cp;
+    s_buffers = Wafl_core.Cleaner_pool.buffers_cleaned pool;
+    s_allocated = Wafl_core.Infra.vbns_allocated infra;
+    s_freed = Wafl_core.Infra.vbns_freed infra;
+    s_touched = Wafl_core.Infra.metafile_blocks_touched infra;
+    s_imsgs = Wafl_core.Infra.messages_posted infra;
+    s_cmsgs = Wafl_core.Cleaner_pool.messages_processed pool;
+    s_waits = Wafl_core.Cleaner_pool.get_waits pool;
+    s_full = stripes_of Wafl_storage.Raid.full_stripes;
+    s_partial = stripes_of Wafl_storage.Raid.partial_stripes;
+    s_stall = Aggregate.stall_time agg;
+    s_fhost = flash_sum Wafl_flash.Ftl.host_pages;
+    s_fgc = flash_sum Wafl_flash.Ftl.gc_pages;
+    s_ferase = flash_sum Wafl_flash.Ftl.erases;
+    s_fstall = List.fold_left (fun acc ftl -> acc +. Wafl_flash.Ftl.gc_stall_us ftl) 0.0 ftls;
+    s_b2b = Counters.read ctrs "b2b_cps";
+    s_b2b_ep = Counters.read ctrs "b2b_episodes";
+    s_exhausted = Counters.read ctrs "nvlog_exhausted_writes";
+  }
+
+let result_of spec srv ~cfs ~rec_ ~tstats ~active_samples ~active_sum ~duration s0 s1 =
+  let eng = srv.eng and pool = srv.pool in
+  {
+    ops = rec_.ops;
+    duration;
+    throughput = float_of_int rec_.ops /. duration *. 1_000_000.0;
+    throughput_per_client =
+      float_of_int rec_.ops /. duration *. 1_000_000.0 /. float_of_int spec.clients;
+    latency = rec_.hist;
+    write_latency = rec_.whist;
+    reads = rec_.reads;
+    writes = rec_.writes;
+    metas = rec_.metas;
+    cores_client = Engine.cores_used eng "client";
+    cores_cleaner = Engine.cores_used eng "cleaner";
+    cores_infra = Engine.cores_used eng "infra";
+    cores_cp = Engine.cores_used eng "cp";
+    cores_io_other =
+      Engine.cores_used eng "io" +. Engine.cores_used eng "other"
+      +. Engine.cores_used eng "sampler" +. Engine.cores_used eng "tuner";
+    utilization = Engine.utilization eng;
+    cps_completed = s1.s_cps - s0.s_cps;
+    buffers_cleaned = s1.s_buffers - s0.s_buffers;
+    vbns_allocated = s1.s_allocated - s0.s_allocated;
+    vbns_freed = s1.s_freed - s0.s_freed;
+    metafile_blocks_touched = s1.s_touched - s0.s_touched;
+    infra_messages = s1.s_imsgs - s0.s_imsgs;
+    cleaner_messages = s1.s_cmsgs - s0.s_cmsgs;
+    get_waits = s1.s_waits - s0.s_waits;
+    avg_active_cleaners =
+      (if active_samples = 0 then float_of_int (Wafl_core.Cleaner_pool.active pool)
+       else float_of_int active_sum /. float_of_int active_samples);
+    full_stripes = s1.s_full - s0.s_full;
+    partial_stripes = s1.s_partial - s0.s_partial;
+    read_contiguity =
+      (let total = ref 0.0 and n = ref 0 in
+       Array.iter
+         (fun cf ->
+           Array.iter
+             (fun f ->
+               total := !total +. measure_contiguity cf.vol f;
+               incr n)
+             cf.files)
+         cfs;
+       if !n = 0 then 0.0 else !total /. float_of_int !n);
+    offered_ops =
+      (if Array.length tstats = 0 then rec_.ops
+       else Array.fold_left (fun a st -> a + st.a_offered) 0 tstats);
+    shed_ops = Array.fold_left (fun a st -> a + st.a_shed) 0 tstats;
+    throttled_ops = Array.fold_left (fun a st -> a + st.a_throttled) 0 tstats;
+    stall_us = s1.s_stall -. s0.s_stall;
+    b2b_cps = s1.s_b2b - s0.s_b2b;
+    b2b_episodes = s1.s_b2b_ep - s0.s_b2b_ep;
+    nvlog_exhausted = s1.s_exhausted - s0.s_exhausted;
+    tenants =
+      (match spec.open_loop with
+      | None -> [||]
+      | Some ol ->
+          let procs = Array.of_list ol.arrivals in
+          Array.mapi
+            (fun i st ->
+              {
+                t_rate = Arrival.mean_rate procs.(i);
+                t_offered = st.a_offered;
+                t_admitted = st.a_admitted;
+                t_throttled = st.a_throttled;
+                t_shed = st.a_shed;
+                t_completed = st.a_completed;
+                t_write_latency = st.a_whist;
+              })
+            tstats);
+    races = Engine.race_report_count eng;
+    flash_host_pages = s1.s_fhost - s0.s_fhost;
+    flash_gc_pages = s1.s_fgc - s0.s_fgc;
+    flash_erases = s1.s_ferase - s0.s_ferase;
+    flash_gc_stall_us = s1.s_fstall -. s0.s_fstall;
+    waf =
+      (let host = s1.s_fhost - s0.s_fhost in
+       let gc = s1.s_fgc - s0.s_fgc in
+       if host = 0 then 1.0 else float_of_int (host + gc) /. float_of_int host);
+    telemetry =
+      Option.map
+        (fun (roll, health) ->
+          {
+            tr_snapshot = Wafl_obs.Rollup.snapshot roll;
+            tr_events = Wafl_obs.Health.events health;
+            tr_health_dropped = Wafl_obs.Health.dropped health;
+          })
+        srv.telem;
+    virtual_us = Engine.now eng;
+  }
+
+let run spec =
+  let files_per_client, file_blocks = files_per_client spec in
+  let working_set = spec.clients * files_per_client * file_blocks in
+  let capacity = Geometry.total_data_blocks spec.geometry in
+  if working_set * 3 / 2 >= capacity then
+    invalid_arg
+      (Printf.sprintf "Driver.run: working set %d too large for aggregate of %d blocks"
+         working_set capacity);
+  let srv = build_server spec in
+  let eng = srv.eng in
+  let cfs = populate spec srv in
+  let rec_ =
+    {
+      recording = false;
+      ops = 0;
+      reads = 0;
+      writes = 0;
+      metas = 0;
+      hist = Wafl_util.Histogram.create ();
+      whist = Wafl_util.Histogram.create ();
+    }
   in
-  let telem_count vol kind =
-    match telem with Some (roll, _) -> Wafl_obs.Rollup.count roll ~vol kind | None -> ()
+  let exec_op = make_exec_op spec srv in
+  (* QoS admission meters; registered on every run so the registry (and
+     a trace's counter samples) look the same with or without tenants. *)
+  let m = Wafl_obs.Trace.metrics srv.obs in
+  let qos_meters =
+    ( Wafl_obs.Metrics.histogram m "qos.queue_wait_us",
+      Wafl_obs.Metrics.counter m "qos.admitted_ops",
+      Wafl_obs.Metrics.counter m "qos.throttled_ops",
+      Wafl_obs.Metrics.counter m "qos.shed_ops" )
   in
+  let stop = ref false in
+  let rng = Wafl_util.Rng.create ~seed:spec.seed in
   let n_tenants = match spec.open_loop with None -> 0 | Some ol -> List.length ol.arrivals in
   let tstats =
     Array.init n_tenants (fun _ ->
@@ -576,133 +845,10 @@ let run_uncached spec =
         })
   in
   (match spec.open_loop with
-  | None ->
-      (* Closed loop: each client keeps one op outstanding. *)
-      for c = 0 to spec.clients - 1 do
-        let cf = match client_files.(c) with Some cf -> cf | None -> assert false in
-        let rng = Wafl_util.Rng.split master_rng in
-        let cursor = ref (Wafl_util.Rng.int rng (total_blocks cf)) in
-        let token = ref (Int64.of_int ((c + 1) * 1_000_000)) in
-        ignore
-          (Engine.spawn eng ~label:"client" (fun () ->
-               while not !stop do
-                 let started = Engine.now eng in
-                 let op = gen_op spec.workload rng cf cursor in
-                 let content =
-                   match op with
-                   | Write _ ->
-                       token := Int64.add !token 1L;
-                       !token
-                   | Read _ | Meta -> 0L
-                 in
-                 telem_count (Volume.id cf.vol) `Admitted;
-                 let kind = exec_op ~cf ~content ~started op in
-                 telem_count (Volume.id cf.vol) `Completed;
-                 if rec_.recording then begin
-                   (* the recorder is shared by every client fiber; the
-                      real system's stats counters are atomics *)
-                   Engine.probe_atomic eng ~shared:"driver.recorder";
-                   rec_.ops <- rec_.ops + 1;
-                   let e2e = Engine.now eng -. started in
-                   (match kind with
-                   | `R -> rec_.reads <- rec_.reads + 1
-                   | `W ->
-                       rec_.writes <- rec_.writes + 1;
-                       Wafl_util.Histogram.add rec_.whist e2e
-                   | `M -> rec_.metas <- rec_.metas + 1);
-                   Wafl_util.Histogram.add rec_.hist e2e
-                 end;
-                 if spec.think_time > 0.0 then
-                   Engine.sleep (Wafl_util.Rng.exponential rng ~mean:spec.think_time)
-                 else Engine.yield ()
-               done))
-      done
-  | Some ol ->
-      (* Open loop: tenant i's arrival fiber issues ops on its own clock
-         (each op runs in a freshly spawned fiber), optionally behind
-         per-volume QoS admission.  An op arriving inside the measure
-         window is recorded at completion — including after the window
-         closes — so queueing inflicted by overload is visible rather
-         than censored; ops still in flight when the measurement ends
-         show up as admitted - completed backlog. *)
-      let qos = Option.map (Wafl_qos.Qos.create ~eng) ol.qos in
-      List.iteri
-        (fun i proc ->
-          let cf =
-            match client_files.(i mod spec.clients) with Some cf -> cf | None -> assert false
-          in
-          let rng = Wafl_util.Rng.split master_rng in
-          let arr = Arrival.start proc ~rng in
-          let cursor = ref (Wafl_util.Rng.int rng (total_blocks cf)) in
-          let token = ref (Int64.of_int ((i + 1) * 1_000_000)) in
-          let st = tstats.(i) in
-          ignore
-            (Engine.spawn eng ~label:"arrival" (fun () ->
-                 while not !stop do
-                   Engine.sleep (Arrival.next arr ~now:(Engine.now eng));
-                   if not !stop then begin
-                     (* per-tenant accounting is updated from this
-                        arrival fiber and every op-completion fiber *)
-                     Engine.probe_atomic eng ~shared:"driver.tenants";
-                     let windowed = rec_.recording in
-                     if windowed then st.a_offered <- st.a_offered + 1;
-                     let op = gen_op spec.workload rng cf cursor in
-                     let content =
-                       match op with
-                       | Write _ ->
-                           token := Int64.add !token 1L;
-                           !token
-                       | Read _ | Meta -> 0L
-                     in
-                     let verdict =
-                       match qos with
-                       | None -> `Admit
-                       | Some q ->
-                           Wafl_qos.Qos.admit q ~vol:(Volume.id cf.vol) ~now:(Engine.now eng)
-                     in
-                     match verdict with
-                     | `Shed ->
-                         if windowed then st.a_shed <- st.a_shed + 1;
-                         telem_count (Volume.id cf.vol) `Shed;
-                         Wafl_obs.Metrics.incr c_qos_shed
-                     | (`Admit | `Delay _) as verdict ->
-                         let delay = match verdict with `Delay d -> d | `Admit -> 0.0 in
-                         if windowed then begin
-                           st.a_admitted <- st.a_admitted + 1;
-                           if delay > 0.0 then st.a_throttled <- st.a_throttled + 1
-                         end;
-                         telem_count (Volume.id cf.vol) `Admitted;
-                         if delay > 0.0 then telem_count (Volume.id cf.vol) `Throttled;
-                         Wafl_obs.Metrics.incr c_qos_admitted;
-                         if delay > 0.0 then begin
-                           Wafl_obs.Metrics.incr c_qos_throttled;
-                           Wafl_obs.Metrics.observe h_qos_wait delay
-                         end;
-                         let started = Engine.now eng in
-                         ignore
-                           (Engine.spawn eng ~label:"client" (fun () ->
-                                if delay > 0.0 then Engine.sleep delay;
-                                let kind = exec_op ~cf ~content ~started op in
-                                telem_count (Volume.id cf.vol) `Completed;
-                                let e2e = Engine.now eng -. started in
-                                if windowed then begin
-                                  Engine.probe_atomic eng ~shared:"driver.tenants";
-                                  Engine.probe_atomic eng ~shared:"driver.recorder";
-                                  st.a_completed <- st.a_completed + 1;
-                                  rec_.ops <- rec_.ops + 1;
-                                  (match kind with
-                                  | `R -> rec_.reads <- rec_.reads + 1
-                                  | `W ->
-                                      rec_.writes <- rec_.writes + 1;
-                                      Wafl_util.Histogram.add rec_.whist e2e;
-                                      Wafl_util.Histogram.add st.a_whist e2e
-                                  | `M -> rec_.metas <- rec_.metas + 1);
-                                  Wafl_util.Histogram.add rec_.hist e2e
-                                end))
-                   end
-                 done)))
-        ol.arrivals);
+  | None -> closed_loop spec srv ~cfs ~rng ~rec_ ~stop exec_op
+  | Some ol -> open_loop spec srv ol ~cfs ~rng ~rec_ ~stop ~tstats ~qos_meters exec_op);
   (* Sample the active cleaner-thread count through the measurement. *)
+  let active_samples = ref 0 and active_sum = ref 0 in
   ignore
     (Engine.spawn eng ~label:"sampler" (fun () ->
          while not !stop do
@@ -710,218 +856,20 @@ let run_uncached spec =
            if rec_.recording then begin
              Engine.probe_atomic eng ~shared:"driver.recorder";
              incr active_samples;
-             active_sum := !active_sum + Wafl_core.Cleaner_pool.active pool
+             active_sum := !active_sum + Wafl_core.Cleaner_pool.active srv.pool
            end
          done));
-  (* --- warmup --- *)
   Engine.run ~until:(Engine.now eng +. spec.warmup) eng;
   Engine.reset_accounting eng;
   rec_.recording <- true;
-  let base_cps = Wafl_core.Cp.cps_completed cp in
-  let base_buffers = Wafl_core.Cleaner_pool.buffers_cleaned pool in
-  let base_alloc = Wafl_core.Infra.vbns_allocated infra in
-  let base_freed = Wafl_core.Infra.vbns_freed infra in
-  let base_touched = Wafl_core.Infra.metafile_blocks_touched infra in
-  let base_imsgs = Wafl_core.Infra.messages_posted infra in
-  let base_cmsgs = Wafl_core.Cleaner_pool.messages_processed pool in
-  let base_waits = Wafl_core.Cleaner_pool.get_waits pool in
-  let stripes_of f = Array.fold_left (fun acc r -> acc + f r) 0 (Aggregate.raid_groups agg) in
-  let base_full = stripes_of Wafl_storage.Raid.full_stripes in
-  let base_partial = stripes_of Wafl_storage.Raid.partial_stripes in
-  let ctrs = Aggregate.counters agg in
-  let base_stall = Aggregate.stall_time agg in
-  let ftls = Aggregate.ftls agg in
-  let flash_sum f = List.fold_left (fun acc ftl -> acc + f ftl) 0 ftls in
-  let flash_sumf f = List.fold_left (fun acc ftl -> acc +. f ftl) 0.0 ftls in
-  let base_fhost = flash_sum Wafl_flash.Ftl.host_pages in
-  let base_fgc = flash_sum Wafl_flash.Ftl.gc_pages in
-  let base_ferase = flash_sum Wafl_flash.Ftl.erases in
-  let base_fstall = flash_sumf Wafl_flash.Ftl.gc_stall_us in
-  let base_b2b = Counters.read ctrs "b2b_cps" in
-  let base_b2b_ep = Counters.read ctrs "b2b_episodes" in
-  let base_exh = Counters.read ctrs "nvlog_exhausted_writes" in
-  (* --- measurement --- *)
+  let s0 = sample srv in
   let t0 = Engine.now eng in
   Engine.run ~until:(t0 +. spec.measure) eng;
   rec_.recording <- false;
-  let duration = Engine.now eng -. t0 in
   let result =
-    {
-      ops = rec_.ops;
-      duration;
-      throughput = float_of_int rec_.ops /. duration *. 1_000_000.0;
-      throughput_per_client =
-        float_of_int rec_.ops /. duration *. 1_000_000.0 /. float_of_int spec.clients;
-      latency = rec_.hist;
-      write_latency = rec_.whist;
-      reads = rec_.reads;
-      writes = rec_.writes;
-      metas = rec_.metas;
-      cores_client = Engine.cores_used eng "client";
-      cores_cleaner = Engine.cores_used eng "cleaner";
-      cores_infra = Engine.cores_used eng "infra";
-      cores_cp = Engine.cores_used eng "cp";
-      cores_io_other =
-        Engine.cores_used eng "io" +. Engine.cores_used eng "other"
-        +. Engine.cores_used eng "sampler" +. Engine.cores_used eng "tuner";
-      utilization = Engine.utilization eng;
-      cps_completed = Wafl_core.Cp.cps_completed cp - base_cps;
-      buffers_cleaned = Wafl_core.Cleaner_pool.buffers_cleaned pool - base_buffers;
-      vbns_allocated = Wafl_core.Infra.vbns_allocated infra - base_alloc;
-      vbns_freed = Wafl_core.Infra.vbns_freed infra - base_freed;
-      metafile_blocks_touched = Wafl_core.Infra.metafile_blocks_touched infra - base_touched;
-      infra_messages = Wafl_core.Infra.messages_posted infra - base_imsgs;
-      cleaner_messages = Wafl_core.Cleaner_pool.messages_processed pool - base_cmsgs;
-      get_waits = Wafl_core.Cleaner_pool.get_waits pool - base_waits;
-      avg_active_cleaners =
-        (if !active_samples = 0 then float_of_int (Wafl_core.Cleaner_pool.active pool)
-         else float_of_int !active_sum /. float_of_int !active_samples);
-      full_stripes = stripes_of Wafl_storage.Raid.full_stripes - base_full;
-      partial_stripes = stripes_of Wafl_storage.Raid.partial_stripes - base_partial;
-      read_contiguity =
-        (let total = ref 0.0 and n = ref 0 in
-         Array.iter
-           (fun cf ->
-             match cf with
-             | None -> ()
-             | Some cf ->
-                 Array.iter
-                   (fun f ->
-                     total := !total +. measure_contiguity cf.vol f;
-                     incr n)
-                   cf.files)
-           client_files;
-         if !n = 0 then 0.0 else !total /. float_of_int !n);
-      offered_ops =
-        (if n_tenants = 0 then rec_.ops
-         else Array.fold_left (fun a st -> a + st.a_offered) 0 tstats);
-      shed_ops = Array.fold_left (fun a st -> a + st.a_shed) 0 tstats;
-      throttled_ops = Array.fold_left (fun a st -> a + st.a_throttled) 0 tstats;
-      stall_us = Aggregate.stall_time agg -. base_stall;
-      b2b_cps = Counters.read ctrs "b2b_cps" - base_b2b;
-      b2b_episodes = Counters.read ctrs "b2b_episodes" - base_b2b_ep;
-      nvlog_exhausted = Counters.read ctrs "nvlog_exhausted_writes" - base_exh;
-      tenants =
-        (match spec.open_loop with
-        | None -> [||]
-        | Some ol ->
-            let procs = Array.of_list ol.arrivals in
-            Array.mapi
-              (fun i st ->
-                {
-                  t_rate = Arrival.mean_rate procs.(i);
-                  t_offered = st.a_offered;
-                  t_admitted = st.a_admitted;
-                  t_throttled = st.a_throttled;
-                  t_shed = st.a_shed;
-                  t_completed = st.a_completed;
-                  t_write_latency = st.a_whist;
-                })
-              tstats);
-      races = Engine.race_report_count eng;
-      flash_host_pages = flash_sum Wafl_flash.Ftl.host_pages - base_fhost;
-      flash_gc_pages = flash_sum Wafl_flash.Ftl.gc_pages - base_fgc;
-      flash_erases = flash_sum Wafl_flash.Ftl.erases - base_ferase;
-      flash_gc_stall_us = flash_sumf Wafl_flash.Ftl.gc_stall_us -. base_fstall;
-      waf =
-        (let host = flash_sum Wafl_flash.Ftl.host_pages - base_fhost in
-         let gc = flash_sum Wafl_flash.Ftl.gc_pages - base_fgc in
-         if host = 0 then 1.0 else float_of_int (host + gc) /. float_of_int host);
-      telemetry =
-        Option.map
-          (fun (roll, health) ->
-            {
-              tr_snapshot = Wafl_obs.Rollup.snapshot roll;
-              tr_events = Wafl_obs.Health.events health;
-              tr_health_dropped = Wafl_obs.Health.dropped health;
-            })
-          telem;
-    }
+    result_of spec srv ~cfs ~rec_ ~tstats ~active_samples:!active_samples
+      ~active_sum:!active_sum ~duration:(Engine.now eng -. t0) s0 (sample srv)
   in
-  Aggregate.refresh_flash_counters agg;
-  (match Sys.getenv_opt "WAFL_FLASH_DEBUG" with
-  | Some _ when ftls <> [] ->
-      List.iter
-        (fun f ->
-          Printf.eprintf
-            "[flash dbg] blocks %d free %d valid %d host %d gc %d erases %d trims %d streams [%s]\n%!"
-            (Wafl_flash.Ftl.block_count f) (Wafl_flash.Ftl.free_blocks f)
-            (Wafl_flash.Ftl.valid_pages f) (Wafl_flash.Ftl.host_pages f)
-            (Wafl_flash.Ftl.gc_pages f) (Wafl_flash.Ftl.erases f) (Wafl_flash.Ftl.trims f)
-            (String.concat ";"
-               (Array.to_list (Array.map string_of_int (Wafl_flash.Ftl.stream_appended f)))))
-        ftls
-  | _ -> ());
+  Aggregate.refresh_flash_counters srv.agg;
   stop := true;
-  (* Per-run virtual time accumulates in the process-wide registry so the
-     bench harness can report simulated seconds next to wall seconds.
-     Registry lookup and add run under the host lock: concurrent runs on
-     worker domains share this registry. *)
-  Mutex.lock memo_lock;
-  Wafl_obs.Metrics.addf
-    (Wafl_obs.Metrics.counter Wafl_obs.Metrics.default "virtual_time_us")
-    (Engine.now eng);
-  Mutex.unlock memo_lock;
   result
-
-(* When set, every run — including memoized cache hits, whose results
-   carry the histogram — merges its end-to-end write-latency histogram
-   into the sink.  The bench harness points this at a fresh histogram
-   per figure to report write p50/p99 next to wall time. *)
-let latency_sink : Wafl_util.Histogram.t option ref = ref None
-
-(* Like [latency_sink], for health: every run (cache hits included) adds
-   its health-event count to the cell.  The bench harness installs a
-   fresh cell per figure so BENCH_paper.json records events per figure. *)
-let health_sink : int ref option ref = ref None
-
-(* Memoized run with in-flight dedup: exactly one caller executes each
-   unique spec; concurrent callers of the same spec wait for its result
-   rather than re-simulating (which would be correct but would
-   double-count the virtual-time total above).  If the executing run
-   raises, the claim is withdrawn so a waiter can retry. *)
-let run_memoized spec =
-  let key = memo_key spec in
-  Mutex.lock memo_lock;
-  let rec claim () =
-    match Hashtbl.find_opt memo_tbl key with
-    | Some (`Done r) -> `Hit r
-    | Some `Running ->
-        Condition.wait memo_cond memo_lock;
-        claim ()
-    | None ->
-        Hashtbl.add memo_tbl key `Running;
-        `Mine
-  in
-  let claimed = claim () in
-  Mutex.unlock memo_lock;
-  match claimed with
-  | `Hit r -> r
-  | `Mine ->
-      let publish outcome =
-        Mutex.lock memo_lock;
-        (match outcome with
-        | Some r -> Hashtbl.replace memo_tbl key (`Done r)
-        | None -> Hashtbl.remove memo_tbl key);
-        Condition.broadcast memo_cond;
-        Mutex.unlock memo_lock
-      in
-      (match run_uncached spec with
-      | r ->
-          publish (Some r);
-          r
-      | exception e ->
-          publish None;
-          raise e)
-
-let run spec =
-  let r = if !memoize then run_memoized spec else run_uncached spec in
-  Mutex.lock memo_lock;
-  (match !latency_sink with
-  | Some dst -> Wafl_util.Histogram.merge_into ~dst r.write_latency
-  | None -> ());
-  (match (!health_sink, r.telemetry) with
-  | Some cell, Some tr -> cell := !cell + List.length tr.tr_events
-  | _ -> ());
-  Mutex.unlock memo_lock;
-  r

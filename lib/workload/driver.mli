@@ -91,6 +91,10 @@ type spec = {
           the pre-telemetry driver.  When set and no full tracer is
           attached, the run uses {!Wafl_obs.Trace.metrics_only} so the
           rollup can pull live metric histograms. *)
+  chaos : Wafl_fs.Aggregate.chaos;
+      (** test-only fault hooks for this run's aggregate; default
+          {!Wafl_fs.Aggregate.no_chaos}.  Per run, so a chaos run never
+          leaks into a concurrent one. *)
   obs : Wafl_sim.Engine.t -> Wafl_obs.Trace.t;
       (** tracer factory, called once with the run's engine before any
           component is built.  Default returns [Wafl_obs.Trace.disabled];
@@ -179,31 +183,14 @@ type result = {
           writes *)
   telemetry : telemetry_result option;
       (** rollup snapshot + health events when [spec.telemetry] is set *)
+  virtual_us : float;
+      (** the run's final virtual clock, µs: set-up, warm-up and the
+          measure window *)
 }
 
 val cores_write_alloc : result -> float
 (** Cleaner + infrastructure core usage — the paper's "write allocation
     work". *)
-
-val memoize : bool ref
-(** When true, [run] caches results keyed on the spec (minus [obs]) and
-    returns the cached result for a repeated spec.  Runs are pure
-    functions of their spec, so the returned numbers are identical to a
-    re-execution.  Enabled only by the bench harness, where the figure
-    suite re-runs several identical configurations; leave off for traced
-    or sanitized runs (a cache hit skips the tracer factory). *)
-
-val latency_sink : Wafl_util.Histogram.t option ref
-(** When [Some h], every [run] — including memoized cache hits — merges
-    its result's end-to-end write-latency histogram into [h].  The bench
-    harness installs a fresh histogram per figure so BENCH_paper.json can
-    report per-figure write p50/p99. *)
-
-val health_sink : int ref option ref
-(** When [Some cell], every [run] — including memoized cache hits — adds
-    its health-event count to [cell].  The bench harness installs a fresh
-    cell per figure so BENCH_paper.json records health events per
-    figure. *)
 
 val run : spec -> result
 (** Build, populate (each client's files are written once and flushed by

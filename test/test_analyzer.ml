@@ -110,6 +110,11 @@ let test_domain_unsafe_flagged () =
     "named worker function flagged" true
     (has_finding ~pass:"domain-safety" ~subject_sub:"Fix_domain_unsafe.named_total" ())
 
+let test_domain_executor_run_flagged () =
+  Alcotest.(check bool)
+    "function passed as the plan executor's ~run flagged" true
+    (has_finding ~pass:"domain-safety" ~subject_sub:"Fix_domain_unsafe.planned_runs" ())
+
 let test_domain_captured_flagged () =
   Alcotest.(check bool)
     "accumulator captured across the domain boundary flagged" true
@@ -186,6 +191,7 @@ let () =
       ( "domain-safety",
         [
           Alcotest.test_case "unguarded pool writes flagged" `Quick test_domain_unsafe_flagged;
+          Alcotest.test_case "executor ~run flagged" `Quick test_domain_executor_run_flagged;
           Alcotest.test_case "captured accumulator flagged" `Quick test_domain_captured_flagged;
           Alcotest.test_case "guarded twin silent" `Quick test_domain_guarded_silent;
         ] );

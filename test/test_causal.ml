@@ -63,15 +63,25 @@ let test_worker_reset () =
 
 (* --- figure traces form connected, acyclic causal DAGs ------------------- *)
 
+(* Executes the plan [f ()] serially with every run causally traced;
+   returns the value. *)
+let exec_traced ?(on_trace = ignore) f =
+  let run s =
+    Driver.run
+      {
+        s with
+        Driver.obs =
+          (fun eng ->
+            let t = Trace.create ~causal:true eng in
+            on_trace t;
+            t);
+      }
+  in
+  match H.Exp.execute ~domains:1 ~run [ f () ] with [ v ] -> v | _ -> assert false
+
 let causal_fig name f =
   let last = ref Trace.disabled in
-  H.Exp.trace :=
-    Some
-      (fun eng ->
-        let t = Trace.create ~causal:true eng in
-        last := t;
-        t);
-  ignore (Fun.protect ~finally:(fun () -> H.Exp.trace := None) f);
+  ignore (exec_traced ~on_trace:(fun t -> last := t) f);
   let json = Trace.export_string !last in
   match Causal.analyze_string json with
   | Error e -> Alcotest.fail (name ^ ": analyze failed: " ^ e)
@@ -91,13 +101,13 @@ let causal_fig name f =
         a.Causal.a_cps;
       a
 
-let test_dag_fig4 () = ignore (causal_fig "fig4" (fun () -> H.Fig4.run ~scale ()))
+let test_dag_fig4 () = ignore (causal_fig "fig4" (fun () -> H.Fig4.plan ~scale ()))
 
 let test_dag_fig5 () =
-  ignore (causal_fig "fig5" (fun () -> H.Fig5.run ~scale ~thread_counts:[ 1; 4 ] ()))
+  ignore (causal_fig "fig5" (fun () -> H.Fig5.plan ~scale ~thread_counts:[ 1; 4 ] ()))
 
 let test_dag_fig6 () =
-  let a = causal_fig "fig6" (fun () -> H.Fig6.run ~scale ()) in
+  let a = causal_fig "fig6" (fun () -> H.Fig6.plan ~scale ()) in
   (* The bottleneck table attributes the whole walked critical path. *)
   Alcotest.(check bool) "fig6: bottlenecks non-empty" true (a.Causal.a_bottlenecks <> []);
   Alcotest.(check bool) "fig6: write ops decomposed" true
@@ -108,11 +118,11 @@ let test_dag_fig6 () =
   Alcotest.(check bool) "fig6: render has the bottleneck table" true
     (contains txt "bottleneck")
 
-let test_dag_fig7 () = ignore (causal_fig "fig7" (fun () -> H.Fig7.run ~scale ()))
-let test_dag_fig8 () = ignore (causal_fig "fig8" (fun () -> H.Fig8.run ~scale ()))
+let test_dag_fig7 () = ignore (causal_fig "fig7" (fun () -> H.Fig7.plan ~scale ()))
+let test_dag_fig8 () = ignore (causal_fig "fig8" (fun () -> H.Fig8.plan ~scale ()))
 
 let test_dag_fig9 () =
-  ignore (causal_fig "fig9" (fun () -> H.Fig9.run ~scale ~levels:2 ()))
+  ignore (causal_fig "fig9" (fun () -> H.Fig9.plan ~scale ~levels:2 ()))
 
 (* --- determinism and invisibility ---------------------------------------- *)
 
@@ -143,17 +153,17 @@ let test_causal_deterministic () =
    causal recording never consumes virtual time, never schedules and
    never draws randomness. *)
 let check_fig_causal name f =
-  H.Exp.trace := None;
-  let off = f () in
-  H.Exp.trace := Some (fun eng -> Trace.create ~causal:true eng);
-  let on = Fun.protect ~finally:(fun () -> H.Exp.trace := None) f in
+  let off =
+    match H.Exp.execute ~domains:1 ~run:Driver.run [ f () ] with [ v ] -> v | _ -> assert false
+  in
+  let on = exec_traced f in
   Alcotest.(check bool) (name ^ ": causal run bit-identical") true (off = on)
 
 let test_causal_off_vs_on_fig4 () =
-  check_fig_causal "fig4" (fun () -> H.Fig4.run ~scale ())
+  check_fig_causal "fig4" (fun () -> H.Fig4.plan ~scale ())
 
 let test_causal_off_vs_on_fig6 () =
-  check_fig_causal "fig6" (fun () -> H.Fig6.run ~scale ())
+  check_fig_causal "fig6" (fun () -> H.Fig6.plan ~scale ())
 
 (* --- ring drops are surfaced, never silent ------------------------------- *)
 

@@ -9,7 +9,7 @@
    bounds, deterministic cross-partition delivery order, QCheck replay
    identity on random message topologies), and the full harnesses
    (figs 4-9, overload, flash, crash seeds, fleet shard) at
-   Exp.domains 1 vs 4 with polymorphic equality over the complete row
+   Exp.execute at 1 vs 4 domains with polymorphic equality over the complete row
    structures, exactly like test_sanitize.ml does for the sanitizer. *)
 
 module H = Wafl_harness
@@ -151,12 +151,12 @@ let prop_partition_replay_identical =
     (fun (seed, parts) ->
       topology ~seed ~parts ~domains:1 = topology ~seed ~parts ~domains:4)
 
-(* --- harness byte-identity: Exp.domains 1 vs 4 --------------------------- *)
+(* --- harness byte-identity: Exp.execute at 1 vs 4 domains --------------- *)
 
 let with_domains n f =
-  let saved = !H.Exp.domains in
-  H.Exp.domains := n;
-  Fun.protect ~finally:(fun () -> H.Exp.domains := saved) f
+  match H.Exp.execute ~domains:n ~run:Wafl_workload.Driver.run [ f () ] with
+  | [ v ] -> v
+  | _ -> assert false
 
 let check_fig name f =
   let serial = with_domains 1 f in
@@ -165,14 +165,14 @@ let check_fig name f =
      float and latency histogram must match exactly. *)
   Alcotest.(check bool) (name ^ ": 4-domain run bit-identical to serial") true (serial = par)
 
-let test_fig4 () = check_fig "fig4" (fun () -> H.Fig4.run ~scale ())
-let test_fig5 () = check_fig "fig5" (fun () -> H.Fig5.run ~scale ~thread_counts:[ 1; 4 ] ())
-let test_fig6 () = check_fig "fig6" (fun () -> H.Fig6.run ~scale ())
-let test_fig7 () = check_fig "fig7" (fun () -> H.Fig7.run ~scale ())
-let test_fig8 () = check_fig "fig8" (fun () -> H.Fig8.run ~scale ())
-let test_fig9 () = check_fig "fig9" (fun () -> H.Fig9.run ~scale ~levels:2 ())
-let test_overload () = check_fig "overload" (fun () -> H.Overload.run ~scale ())
-let test_flash () = check_fig "flash" (fun () -> H.Flash.run ~scale ())
+let test_fig4 () = check_fig "fig4" (fun () -> H.Fig4.plan ~scale ())
+let test_fig5 () = check_fig "fig5" (fun () -> H.Fig5.plan ~scale ~thread_counts:[ 1; 4 ] ())
+let test_fig6 () = check_fig "fig6" (fun () -> H.Fig6.plan ~scale ())
+let test_fig7 () = check_fig "fig7" (fun () -> H.Fig7.plan ~scale ())
+let test_fig8 () = check_fig "fig8" (fun () -> H.Fig8.plan ~scale ())
+let test_fig9 () = check_fig "fig9" (fun () -> H.Fig9.plan ~scale ~levels:2 ())
+let test_overload () = check_fig "overload" (fun () -> H.Overload.plan ~scale ())
+let test_flash () = check_fig "flash" (fun () -> H.Flash.plan ~scale ())
 
 let test_crash_seeds () =
   let run domains =

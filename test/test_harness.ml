@@ -56,6 +56,7 @@ let synthetic ?(throughput = 100_000.0) ?(cores_cleaner = 1.0) ?(cores_infra = 0
     flash_gc_stall_us = 0.0;
     waf = 1.0;
     telemetry = None;
+    virtual_us = 0.0;
   }
 
 let all_ok shapes = List.for_all snd shapes

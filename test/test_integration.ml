@@ -481,13 +481,10 @@ let test_crash_harness_50_seeds () =
    a test-only chaos hook).  The harness must catch it — otherwise its
    oracle proves nothing. *)
 let test_chaos_broken_commit_ordering_caught () =
-  Fun.protect
-    ~finally:(fun () -> Wafl_core.Cp.chaos_publish_before_quiesce := false)
-    (fun () ->
-      Wafl_core.Cp.chaos_publish_before_quiesce := true;
-      let outcomes = Crash.run_seeds ~first_seed:1 ~count:6 () in
-      Alcotest.(check bool) "harness catches publish-before-quiesce" true
-        (List.exists (fun o -> not (Crash.passed o)) outcomes))
+  let chaos = { Wafl_fs.Aggregate.no_chaos with publish_before_quiesce = true } in
+  let outcomes = Crash.run_seeds ~chaos ~first_seed:1 ~count:6 () in
+  Alcotest.(check bool) "harness catches publish-before-quiesce" true
+    (List.exists (fun o -> not (Crash.passed o)) outcomes)
 
 let () =
   Alcotest.run "integration"

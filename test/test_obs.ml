@@ -205,13 +205,14 @@ let test_worker_pool_trace_identical () =
 
 (* --- tracing must not change results ------------------------------------- *)
 
-(* Runs [f] untraced then traced (via the harness hook, as the CLI's
-   trace subcommand would); the global is always restored. *)
+(* Executes the plan [f ()] untraced then traced (every run gets a
+   tracer, as the CLI's --trace does). *)
 let both f =
-  H.Exp.trace := None;
-  let off = f () in
-  H.Exp.trace := Some (fun eng -> Trace.create eng);
-  let on = Fun.protect ~finally:(fun () -> H.Exp.trace := None) f in
+  let exec run =
+    match H.Exp.execute ~domains:1 ~run [ f () ] with [ v ] -> v | _ -> assert false
+  in
+  let off = exec Driver.run in
+  let on = exec (fun s -> Driver.run { s with Driver.obs = (fun eng -> Trace.create eng) }) in
   (off, on)
 
 let check_fig name f =
@@ -219,12 +220,12 @@ let check_fig name f =
   Alcotest.(check bool) (name ^ ": traced run bit-identical") true (off = on)
 
 let scale = 0.02
-let test_fig4 () = check_fig "fig4" (fun () -> H.Fig4.run ~scale ())
-let test_fig5 () = check_fig "fig5" (fun () -> H.Fig5.run ~scale ~thread_counts:[ 1; 4 ] ())
-let test_fig6 () = check_fig "fig6" (fun () -> H.Fig6.run ~scale ())
-let test_fig7 () = check_fig "fig7" (fun () -> H.Fig7.run ~scale ())
-let test_fig8 () = check_fig "fig8" (fun () -> H.Fig8.run ~scale ())
-let test_fig9 () = check_fig "fig9" (fun () -> H.Fig9.run ~scale ~levels:2 ())
+let test_fig4 () = check_fig "fig4" (fun () -> H.Fig4.plan ~scale ())
+let test_fig5 () = check_fig "fig5" (fun () -> H.Fig5.plan ~scale ~thread_counts:[ 1; 4 ] ())
+let test_fig6 () = check_fig "fig6" (fun () -> H.Fig6.plan ~scale ())
+let test_fig7 () = check_fig "fig7" (fun () -> H.Fig7.plan ~scale ())
+let test_fig8 () = check_fig "fig8" (fun () -> H.Fig8.plan ~scale ())
+let test_fig9 () = check_fig "fig9" (fun () -> H.Fig9.plan ~scale ~levels:2 ())
 
 let () =
   Alcotest.run "obs"

@@ -124,14 +124,13 @@ let frequent_cp_spec () =
     measure = 500_000.0;
   }
 
+let force_b2b = { Wafl_fs.Aggregate.no_chaos with force_b2b = true }
+
 let test_chaos_b2b_streak () =
   let healthy = telem (Driver.run (with_telemetry (frequent_cp_spec ()))) in
   Alcotest.(check int) "frequent CPs alone stay quiet" 0 (List.length healthy.Driver.tr_events);
-  Wafl_core.Cp.chaos_force_b2b := true;
   let tr =
-    Fun.protect
-      ~finally:(fun () -> Wafl_core.Cp.chaos_force_b2b := false)
-      (fun () -> telem (Driver.run (with_telemetry (frequent_cp_spec ()))))
+    telem (Driver.run { (with_telemetry (frequent_cp_spec ())) with Driver.chaos = force_b2b })
   in
   let b2b = List.filter (fun ev -> ev.Health.ev_rule = "b2b_streak") tr.Driver.tr_events in
   Alcotest.(check bool) "injected b2b streak detected" true (b2b <> []);
@@ -141,14 +140,27 @@ let test_chaos_b2b_streak () =
 
 let test_chaos_hard_dwell () =
   let rollup = { Rollup.default_config with Rollup.window_us = 50_000.0 } in
-  Wafl_fs.Aggregate.chaos_inject_hard_dwell := 25.0;
-  let tr =
-    Fun.protect
-      ~finally:(fun () -> Wafl_fs.Aggregate.chaos_inject_hard_dwell := 0.0)
-      (fun () -> telem (Driver.run (with_telemetry ~rollup (small_spec ()))))
-  in
+  let chaos = { Wafl_fs.Aggregate.no_chaos with inject_hard_dwell = 25.0 } in
+  let tr = telem (Driver.run { (with_telemetry ~rollup (small_spec ())) with Driver.chaos }) in
   let dwell = List.filter (fun ev -> ev.Health.ev_rule = "hard_dwell") tr.Driver.tr_events in
   Alcotest.(check bool) "injected hard-watermark dwell detected" true (dwell <> [])
+
+(* Chaos is per run: a force-b2b run batched with a plain one on two
+   worker domains must not leak into it (a process-wide hook would). *)
+let test_chaos_isolated_per_run () =
+  let spec = with_telemetry (frequent_cp_spec ()) in
+  let streaks r =
+    List.length
+      (List.filter (fun ev -> ev.Health.ev_rule = "b2b_streak") (telem r).Driver.tr_events)
+  in
+  match
+    Wafl_harness.Exp.execute ~domains:2 ~run:Driver.run
+      [ Wafl_harness.Exp.runs [ { spec with Driver.chaos = force_b2b }; spec ] Fun.id ]
+  with
+  | [ [ chaotic; plain ] ] ->
+      Alcotest.(check bool) "chaos run reports b2b_streak" true (streaks chaotic > 0);
+      Alcotest.(check int) "concurrent plain run reports none" 0 (streaks plain)
+  | _ -> Alcotest.fail "expected one plan with two results"
 
 (* --- snapshot JSON round-trips ------------------------------------------- *)
 
@@ -251,6 +263,7 @@ let () =
           Alcotest.test_case "healthy runs emit nothing" `Slow test_healthy_zero_events;
           Alcotest.test_case "injected b2b streak fires" `Slow test_chaos_b2b_streak;
           Alcotest.test_case "injected hard dwell fires" `Slow test_chaos_hard_dwell;
+          Alcotest.test_case "chaos stays within its run" `Slow test_chaos_isolated_per_run;
         ] );
       ( "snapshots",
         [

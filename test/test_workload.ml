@@ -118,17 +118,33 @@ let test_five_seed_determinism () =
       Alcotest.(check bool) (Printf.sprintf "seed %d replays identically" seed) true (a = b))
     [ 1; 2; 3; 4; 5 ]
 
-let test_memoized_run_matches () =
-  let spec = small_spec () in
-  let fresh = Driver.run spec in
-  Driver.memoize := true;
-  Fun.protect
-    ~finally:(fun () -> Driver.memoize := false)
-    (fun () ->
-      let first = Driver.run spec in
-      let cached = Driver.run spec in
-      Alcotest.(check bool) "memoized result equals fresh run" true (fresh = first);
-      Alcotest.(check bool) "repeat spec returns the cached record" true (first == cached))
+(* Figure 6's two columns are Figure 4 rows: batched together, the two
+   plans need 6 runs but only 4 distinct specs, and each executes once.
+   Sharing must not change either figure's rows. *)
+let test_executor_dedups_shared_runs () =
+  let module H = Wafl_harness in
+  let scale = 0.1 in
+  let executed = ref [] in
+  let counting s =
+    executed := s :: !executed;
+    Driver.run s
+  in
+  let fig4 () = H.Exp.map (fun rows -> `Fig4 rows) (H.Fig4.plan ~scale ()) in
+  let fig6 () = H.Exp.map (fun rows -> `Fig6 rows) (H.Fig6.plan ~scale ()) in
+  let batch = H.Exp.execute ~domains:1 ~run:counting [ fig4 (); fig6 () ] in
+  let ran = List.rev !executed in
+  Alcotest.(check int) "batch runs 4 specs, not 6" 4 (List.length ran);
+  let cfgs = List.map (fun s -> s.Driver.cfg) ran in
+  List.iteri
+    (fun i c ->
+      Alcotest.(check bool)
+        (Printf.sprintf "spec %d executes exactly once" i)
+        true
+        (List.length (List.filter (fun c' -> c' = c) cfgs) = 1))
+    cfgs;
+  let alone p = H.Exp.execute ~domains:1 ~run:Driver.run [ p ] in
+  Alcotest.(check bool) "batched rows equal each plan executed alone" true
+    (batch = alone (fig4 ()) @ alone (fig6 ()))
 
 let test_seed_changes_rand_stream () =
   let spec = small_spec ~workload:(Driver.Rand_write { file_blocks = 1024 }) () in
@@ -173,7 +189,8 @@ let () =
           Alcotest.test_case "think time lowers load" `Quick test_think_time_lowers_load;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "five-seed replay identity" `Quick test_five_seed_determinism;
-          Alcotest.test_case "memoized runs match fresh runs" `Quick test_memoized_run_matches;
+          Alcotest.test_case "plan executor runs shared specs once" `Slow
+            test_executor_dedups_shared_runs;
           Alcotest.test_case "seed sensitivity" `Quick test_seed_changes_rand_stream;
           Alcotest.test_case "alloc/free balance" `Quick test_alloc_free_balance;
           Alcotest.test_case "working-set guard" `Quick test_working_set_guard;

@@ -14,12 +14,14 @@
    field on either side (pre-v3 baselines, figures with no writes) skip
    the latency gate.  The absolute slack is a
    jitter floor: on a shared single-core host a ~5 s figure varies by
-   over 30% run-to-run, so short figures (and fig6, which is fully
-   memoized and takes ~0 s) are effectively gated by the floor while the
-   15% rule bites on the long ones, where real regressions show.  Only
-   figures
-   present in both files are compared, so a fast-subset run gates just
-   the figures it measured.  Exit status 1 on any regression.
+   over 30% run-to-run, so short figures are effectively gated by the
+   floor while the 15% rule bites on the long ones, where real
+   regressions show.  A figure's wall time is the summed host time of
+   the unique runs it uses (a run two figures share counts for both),
+   so fig6 carries its two runs' cost like any other figure.  Only
+   figures present in both files are compared, so a fast-subset run
+   gates just the figures it measured.  Exit status 1 on any
+   regression.
 
    Wall time scales with the worker-domain count (results don't — runs
    are byte-identical at any count), so the comparison must be

@@ -71,9 +71,11 @@ let spawners = [ ("Engine", "spawn"); ("Scheduler", "post"); ("Scheduler", "post
 (* Worker-domain fan-out points: closures handed to these run
    concurrently on OCaml 5 domains (real parallelism, unlike fibers).
    The collector marks every function value in their argument lists as a
-   domain root for the domain-safety pass. *)
+   domain root for the domain-safety pass — for [Exp.execute] that is
+   the [~run] function, so whatever the caller passes (normally a
+   wrapper around [Driver.run]) is audited. *)
 let domain_spawners =
-  [ ("Pool", "run"); ("Pool", "map"); ("Pool", "team_run"); ("Exp", "par_map") ]
+  [ ("Pool", "run"); ("Pool", "map"); ("Pool", "team_run"); ("Exp", "execute") ]
 
 (* Blocking primitives for the blocking-while-holding-lock pass.
    [Sync.Mutex.lock] is deliberately absent: acquiring a second lock is

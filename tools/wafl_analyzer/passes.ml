@@ -491,7 +491,7 @@ let pass_ownership prog =
 (* --- pass 5: domain-safety ---------------------------------------------- *)
 
 (* Closures handed to the worker-domain pool (Wafl_util.Pool.run / map /
-   team_run, Exp.par_map) execute concurrently on OCaml 5 domains —
+   team_run, Exp.execute's ~run) execute concurrently on OCaml 5 domains —
    real parallelism, unlike cooperatively-scheduled fibers.  A write to
    module-level mutable state (or to a local captured across the pool
    boundary) from code reachable from such a closure is a data race and
@@ -505,9 +505,8 @@ let pass_ownership prog =
    - per-domain ownership: per-run records allocated inside the closure
      are not module-level families ([f_global] is false) and are
      skipped.
-   Reads are not flagged: a flag set by the host before fan-out and
-   only read inside the pool (Exp.sanitize, Driver.memoize, ...) is the
-   sanctioned configuration pattern. *)
+   Reads are not flagged: state the host writes before fan-out and the
+   workers only read is race-free. *)
 let pass_domain prog =
   let droots = List.filter (fun n -> n.n_domain) (nodes_in_order prog) in
   let reach = List.map (fun r -> (r, reach_from prog r)) droots in
