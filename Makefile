@@ -92,11 +92,11 @@ overload-smoke:
 	dune exec --no-build bin/wafl_sim.exe -- overload --scale 0.25 --domains 2
 	dune exec --no-build bin/wafl_sim.exe -- crash --overload --seeds 5 --domains 2
 
-# Shard smoke: a quarter-scale fleet run on the conservative-lookahead
-# partitioned engine — 3 aggregate shards coupled through the global
-# CP-epoch barrier and fleet telemetry, windows executed on 2 worker
-# domains.  The command exits non-zero on any shape miss and prints a
-# run digest that is byte-identical at any domain count.
+# Shard smoke: a quarter-scale fleet run — 3 independent aggregate
+# shards coupled through host-driven global CP-epoch ticks, executed as
+# pool tasks on 2 worker domains.  The command exits non-zero on any
+# shape miss and prints a run digest that is byte-identical at any
+# domain count.
 shard-smoke:
 	dune build bin/wafl_sim.exe
 	dune exec --no-build bin/wafl_sim.exe -- shard --scale 0.25 --shards 3 --domains 2

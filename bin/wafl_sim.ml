@@ -12,7 +12,7 @@ let scale_arg =
 let domains_arg =
   let doc =
     "Worker-domain count for host-parallel execution of independent runs (experiment rows, \
-     crash seeds, partition windows). Results are byte-identical at any value; the default \
+     crash seeds, fleet shards). Results are byte-identical at any value; the default \
      comes from WAFL_DOMAINS or the host core count. Tracing forces serial execution."
   in
   Arg.(
@@ -367,7 +367,7 @@ let crash_cmd =
         (const crash_run $ seeds $ first_seed $ ops $ fbn_space $ horizon $ verbose
        $ sanitize_arg $ overload $ flash $ domains_arg))
 
-(* --- fleet shard on the partitioned engine --- *)
+(* --- fleet shard --- *)
 
 let shard_run scale shards domains seed =
   let shards = max 1 shards and domains = max 1 domains in
@@ -379,13 +379,13 @@ let shard_run scale shards domains seed =
 
 let shard_cmd =
   let doc =
-    "Fleet-sharded run on the conservative-lookahead partitioned engine: $(b,--shards) \
-     independent aggregate stacks advance on independently-clocked engine partitions \
-     (concurrently across $(b,--domains) worker domains), coupled through a global \
-     CP-epoch barrier and fleet telemetry messages. Output is byte-identical at any \
-     domain count; the printed digest makes that easy to check."
+    "Fleet-sharded run: $(b,--shards) independent aggregate stacks, each on its own \
+     engine (concurrently across $(b,--domains) worker domains), coupled only through \
+     global CP-epoch ticks that request a checkpoint in every shard and collect its op \
+     count. Output is byte-identical at any domain count; the printed digest makes that \
+     easy to check."
   in
-  let shards = Arg.(value & opt int 4 & info [ "shards" ] ~docv:"N" ~doc:"Aggregate shards (engine partitions).") in
+  let shards = Arg.(value & opt int 4 & info [ "shards" ] ~docv:"N" ~doc:"Aggregate shards (one engine each).") in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"RNG seed.") in
   Cmd.v (Cmd.info "shard" ~doc)
     Term.(ret (const shard_run $ scale_arg $ shards $ domains_arg $ seed))

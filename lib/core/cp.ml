@@ -606,8 +606,6 @@ let repair_failed_writes t =
       Array.iter Wafl_storage.Raid.quiesce (Aggregate.raid_groups t.agg)
     end
   done;
-  if !repaired > 0 then
-    Counters.add (Aggregate.counters t.agg) "cp_repaired_writes" !repaired;
   !repaired
 
 (* --- the CP itself ------------------------------------------------------ *)
@@ -712,7 +710,6 @@ let run_cp_body t =
   ignore (repair_failed_writes t);
   (* Phase 5: the atomic commit. *)
   if not chaos.publish_before_quiesce then publish_commit t;
-  Aggregate.refresh_fault_counters t.agg;
   t.n_cps <- t.n_cps + 1;
   t.last_duration <- Engine.now t.eng -. started;
   t.last_buffers <- !buffers_total;

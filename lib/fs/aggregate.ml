@@ -77,8 +77,6 @@ type t = {
   mutable log_inflight : int;
   mutable stall_us : float;
   mutable hard_dwell_us : float;
-  stall_cell : int ref;
-  hard_dwell_cell : int ref;
   exhausted_cell : int ref;
   m_stall : Wafl_obs.Metrics.counter;
   m_hard_dwell : Wafl_obs.Metrics.counter;
@@ -147,8 +145,6 @@ let create ?(nvlog_half = 16384) ?nvlog_watermarks ?(cache_blocks = 65536) ?queu
       log_inflight = 0;
       stall_us = 0.0;
       hard_dwell_us = 0.0;
-      stall_cell = Counters.cell counters "nvlog_stall_us";
-      hard_dwell_cell = Counters.cell counters "nvlog_hard_dwell_us";
       exhausted_cell = Counters.cell counters "nvlog_exhausted_writes";
       m_stall =
         Wafl_obs.Metrics.counter
@@ -281,25 +277,6 @@ let ftls t = Array.to_list t.raids |> List.filter_map Raid.flash
    model; installed by Walloc when the [streams] policy is on). *)
 let set_stream_classifier t f = Array.iter (fun r -> Raid.set_stream_of r f) t.raids
 
-(* Mirror the per-group FTL counters into the global counter table so
-   operators and tests read them through Counters / Report. *)
-let refresh_flash_counters t =
-  if t.flash_on then begin
-    let sum f = List.fold_left (fun acc ftl -> acc + f ftl) 0 (ftls t) in
-    let sumf f = List.fold_left (fun acc ftl -> acc +. f ftl) 0.0 (ftls t) in
-    Counters.set t.counters "flash_host_pages" (sum Wafl_flash.Ftl.host_pages);
-    Counters.set t.counters "flash_gc_pages" (sum Wafl_flash.Ftl.gc_pages);
-    Counters.set t.counters "flash_erases" (sum Wafl_flash.Ftl.erases);
-    Counters.set t.counters "flash_gc_runs" (sum Wafl_flash.Ftl.gc_runs);
-    Counters.set t.counters "flash_trims" (sum Wafl_flash.Ftl.trims);
-    Counters.set t.counters "flash_gc_stall_us"
-      (int_of_float (sumf Wafl_flash.Ftl.gc_stall_us));
-    (* WAF scaled by 100 (the counter table is integers). *)
-    let host = sum Wafl_flash.Ftl.host_pages and gc = sum Wafl_flash.Ftl.gc_pages in
-    if host > 0 then
-      Counters.set t.counters "flash_waf_x100" (100 * (host + gc) / host)
-  end
-
 (* Mirror the fault-plan counters into the global counter table so
    operators and tests read them through Counters / Report. *)
 let refresh_fault_counters t =
@@ -357,7 +334,6 @@ let stall_time t = t.stall_us
 let note_stall t dt =
   if dt > 0.0 then begin
     t.stall_us <- t.stall_us +. dt;
-    t.stall_cell := int_of_float t.stall_us;
     Wafl_obs.Metrics.addf t.m_stall dt
   end
 
@@ -366,7 +342,6 @@ let hard_dwell_time t = t.hard_dwell_us
 let note_hard_dwell t dt =
   if dt > 0.0 then begin
     t.hard_dwell_us <- t.hard_dwell_us +. dt;
-    t.hard_dwell_cell := int_of_float t.hard_dwell_us;
     Wafl_obs.Metrics.addf t.m_hard_dwell dt
   end
 
@@ -810,8 +785,6 @@ let recover ?(cache_blocks = 65536) ?queue_depth ?obs eng ~cost pers =
       log_inflight = 0;
       stall_us = 0.0;
       hard_dwell_us = 0.0;
-      stall_cell = Counters.cell counters "nvlog_stall_us";
-      hard_dwell_cell = Counters.cell counters "nvlog_hard_dwell_us";
       exhausted_cell = Counters.cell counters "nvlog_exhausted_writes";
       m_stall =
         Wafl_obs.Metrics.counter

@@ -93,11 +93,6 @@ val set_stream_classifier : t -> (Layout.block -> int) -> unit
     user data).  No-op without a media model; installed by
     {!Wafl_core.Walloc} when its [streams] policy is on. *)
 
-val refresh_flash_counters : t -> unit
-(** Mirror the FTL counters (host/GC pages written, erases, GC runs,
-    TRIMs, accumulated GC stall, WAF×100) into {!counters} under the
-    ["flash_"] prefix.  No-op without a media model. *)
-
 (** {1 Client operations} *)
 
 val create_volume : t -> vvbn_space:int -> Volume.t
@@ -139,8 +134,8 @@ val read_pvbn : t -> int -> Layout.block option
 val refresh_fault_counters : t -> unit
 (** Mirror the attached fault plan's counters ([media_errors],
     [degraded_reads], [transient_retries], [rebuild_blocks],
-    [unrecoverable_reads]) into {!counters}.  No-op without a fault
-    plan. *)
+    [unrecoverable_reads]) into {!counters}; call it before reading
+    them.  No-op without a fault plan. *)
 
 val wait_for_log_space : t -> unit
 (** Write-admission throttle; call once before each {!write}.
@@ -154,8 +149,7 @@ val wait_for_log_space : t -> unit
     watermark triggers an early CP (via {!set_cp_trigger}) and paces the
     write with a deterministic delay; at the hard watermark admission
     parks until a CP commit frees space.  Time spent parked or paced
-    accumulates in ["nvlog_stall_us"] ({!counters}) and the
-    ["nvlog.stall_us"] metric. *)
+    accumulates in {!stall_time} and the ["nvlog.stall_us"] metric. *)
 
 val set_cp_trigger : t -> (unit -> unit) -> unit
 (** Install the early-CP hook used by watermark admission (normally
@@ -167,8 +161,7 @@ val stall_time : t -> float
 
 val hard_dwell_time : t -> float
 (** Subset of {!stall_time}: virtual µs spent parked above the hard
-    watermark (also in the [nvlog_hard_dwell_us] counter and the
-    [nvlog.hard_dwell_us] metric). *)
+    watermark (also in the [nvlog.hard_dwell_us] metric). *)
 
 (** {1 Physical allocation state (infrastructure side)} *)
 

@@ -39,5 +39,3 @@ let flush t tok =
 
 let exact t toks name =
   read t name + List.fold_left (fun acc tok -> acc + staged tok name) 0 toks
-
-let names t = Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort compare (* lint-ok *)

@@ -46,5 +46,3 @@ val exact : t -> token list -> string -> int
 (** The counter value with all given tokens logically applied — the
     "audited and corrected" read the paper describes for code paths that
     need precise values. *)
-
-val names : t -> string list

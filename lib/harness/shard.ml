@@ -24,10 +24,11 @@ let rollup_config =
     vol_budget_bytes = 8192;
   }
 
-(* Cross-partition delivery bound; the global CP epoch is a coarse
-   multiple of it, as the real barriers are. *)
-let lookahead = 1_000.0
+(* Global CP epochs begin every [epoch_us]; each epoch's CP request
+   reaches every shard [tick_delay] later, so shard ticks fall at
+   [k * epoch_us + tick_delay] for k >= 1. *)
 let epoch_us = 6_000.0
+let tick_delay = 1_000.0
 let clients_per_shard = 6
 let files_per_shard = 4
 let fbn_space = 700
@@ -38,24 +39,22 @@ let geometry () =
   Geometry.create ~drive_blocks:8192 ~aa_stripes:512 ~raid_groups:[ (3, 1); (3, 1) ] ()
 
 type shard_state = {
-  walloc : Wafl_core.Walloc.t;
-  ops_done : int ref; (* mutated only by this shard's fibers *)
+  eng : Engine.t;
+  ops_done : int ref;
   cp : Wafl_core.Cp.t;
-  roll : Wafl_obs.Rollup.t; (* fed only by this shard's fibers *)
-  metrics : Wafl_obs.Metrics.t; (* this shard's own registry (DLS-free attribution) *)
+  roll : Wafl_obs.Rollup.t;
 }
 
-let setup part sid ~seed =
-  let eng = Partition.engine part sid in
+let setup sid ~seed =
+  let eng = Engine.create ~cores:4 () in
   (* Each shard gets its own metrics-only tracer: a live per-engine
-     registry, so samples attribute to the owning partition engine
-     rather than the per-domain throwaway registry disabled tracers
-     share (test_domains pins this). *)
+     registry, so samples attribute to the owning shard's engine rather
+     than the per-domain throwaway registry disabled tracers share. *)
   let obs = Wafl_obs.Trace.metrics_only eng in
   let agg =
     Aggregate.create eng ~cost:Cost.default ~geometry:(geometry ()) ~nvlog_half:2048 ~obs ()
   in
-  (* CPs come only from the global epoch barrier (and log-half-full
+  (* CPs come only from the global epoch ticks (and log-half-full
      self-defense), so per-shard CP counts expose the coupling. *)
   let cfg =
     { (Wafl_core.Walloc.default_config) with Wafl_core.Walloc.cleaner_threads = 2; cp_timer = None }
@@ -103,69 +102,67 @@ let setup part sid ~seed =
                     Engine.consume 3.0
                   done))
          done));
+  { eng; ops_done; cp = Wafl_core.Walloc.cp walloc; roll }
+
+type shard_result = { row : row; heard : int; snap : Wafl_obs.Rollup.snapshot }
+
+(* One shard, start to finish, on whichever domain runs it.  The host
+   drives the epoch ticks: advance the engine to each tick time, then
+   inject that epoch's CP request (and its op-count report) as a fiber
+   at exactly that time.  A tick at or past [until] belongs to the next
+   run, so one landing exactly on the warmup boundary is delivered in
+   the measurement window. *)
+let run_shard ~warmup ~measure ~seed sid =
+  let s = setup sid ~seed in
+  let heard = ref 0 in
+  let next_tick = ref (epoch_us +. tick_delay) in
+  let advance ~until =
+    while !next_tick < until do
+      Engine.run ~until:!next_tick s.eng;
+      ignore
+        (Engine.spawn s.eng ~label:"epoch" ~at:!next_tick (fun () ->
+             Wafl_core.Cp.request s.cp;
+             heard := !(s.ops_done)));
+      next_tick := !next_tick +. epoch_us
+    done;
+    Engine.run ~until s.eng
+  in
+  advance ~until:warmup;
+  let ops0 = !(s.ops_done) and cps0 = Wafl_core.Cp.cps_completed s.cp in
+  Engine.reset_accounting s.eng;
+  advance ~until:(warmup +. measure);
   {
-    walloc;
-    ops_done;
-    cp = Wafl_core.Walloc.cp walloc;
-    roll;
-    metrics = Wafl_obs.Trace.metrics obs;
+    row =
+      {
+        shard = sid;
+        ops = !(s.ops_done) - ops0;
+        cps = Wafl_core.Cp.cps_completed s.cp - cps0;
+        util = Engine.utilization s.eng;
+      };
+    heard = !heard;
+    snap = Wafl_obs.Rollup.snapshot s.roll;
   }
 
 let run ?(scale = 1.0) ?(shards = 4) ?(domains = 1) ?(seed = 42) () =
   let warmup = Float.max 20_000.0 (100_000.0 *. scale) in
   let measure = Float.max 50_000.0 (400_000.0 *. scale) in
-  let part = Partition.create ~parts:shards ~cores_per_part:4 ~lookahead () in
-  let state = Array.init shards (fun sid -> setup part sid ~seed) in
-  (* Fleet telemetry owned by partition 0: mutated only by closures
-     delivered to (fibers of) partition 0, so it is partition-local. *)
-  let fleet_seen = Array.make shards 0 in
-  let epochs = ref 0 in
-  (* Global CP epoch coordinator on partition 0: each tick fans a
-     checkpoint request out to every shard; each shard reports its op
-     total back.  Every hop uses the conservative delay. *)
-  ignore
-    (Engine.spawn (Partition.engine part 0) ~label:"epoch" ~daemon:true (fun () ->
-         while true do
-           Engine.sleep epoch_us;
-           incr epochs;
-           for dst = 0 to shards - 1 do
-             Partition.post part ~src:0 ~dst ~delay:lookahead (fun () ->
-                 Wafl_core.Cp.request state.(dst).cp;
-                 let reported = !(state.(dst).ops_done) in
-                 Partition.post part ~src:dst ~dst:0 ~delay:lookahead (fun () ->
-                     fleet_seen.(dst) <- reported))
-           done
-         done));
-  Partition.run ~domains ~until:warmup part;
-  (* Horizon boundary: every partition is parked at [warmup]; reads and
-     resets here are host-side and race-free. *)
-  let ops0 = Array.map (fun s -> !(s.ops_done)) state in
-  let cps0 = Array.map (fun s -> Wafl_core.Cp.cps_completed s.cp) state in
-  let epochs0 = !epochs in
-  Array.iteri (fun sid _ -> Engine.reset_accounting (Partition.engine part sid)) state;
-  Partition.run ~domains ~until:(warmup +. measure) part;
-  let rows =
-    List.init shards (fun sid ->
-        {
-          shard = sid;
-          ops = !(state.(sid).ops_done) - ops0.(sid);
-          cps = Wafl_core.Cp.cps_completed state.(sid).cp - cps0.(sid);
-          util = Engine.utilization (Partition.engine part sid);
-        })
+  let horizon = warmup +. measure in
+  let results =
+    Wafl_util.Pool.map ~domains (run_shard ~warmup ~measure ~seed) (List.init shards Fun.id)
   in
-  (* Horizon boundary again: all partitions parked, so the host-side
-     snapshots see each shard at the same virtual time and the merge is
-     deterministic at any domain count. *)
-  let telemetry =
-    Wafl_obs.Rollup.merge_snapshots
-      (Array.to_list (Array.mapi (fun sid s -> (sid, Wafl_obs.Rollup.snapshot s.roll)) state))
+  (* Epochs whose broadcast falls in the measurement window. *)
+  let epochs =
+    let first = Float.to_int (Float.ceil (warmup /. epoch_us))
+    and last = Float.to_int (Float.ceil (horizon /. epoch_us)) - 1 in
+    max 0 (last - max 1 first + 1)
   in
   {
-    rows;
-    epochs = !epochs - epochs0;
-    fleet_reported = Array.fold_left ( + ) 0 fleet_seen;
-    horizon = Partition.now part;
-    telemetry;
+    rows = List.map (fun r -> r.row) results;
+    epochs;
+    fleet_reported = List.fold_left (fun acc r -> acc + r.heard) 0 results;
+    horizon;
+    telemetry =
+      Wafl_obs.Rollup.merge_snapshots (List.mapi (fun sid r -> (sid, r.snap)) results);
   }
 
 let digest o =
@@ -196,8 +193,7 @@ let shapes o =
   ]
 
 let print ~shards ~domains o =
-  Printf.printf "\nFleet shard: %d aggregate shards on the partitioned engine (%d domain%s)\n"
-    shards domains
+  Printf.printf "\nFleet shard: %d independent aggregate shards (%d domain%s)\n" shards domains
     (if domains = 1 then "" else "s");
   Printf.printf "  global CP epochs in measure window: %d   fleet ops heard: %d\n" o.epochs
     o.fleet_reported;

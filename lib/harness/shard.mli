@@ -1,20 +1,21 @@
-(** Fleet-sharded aggregate experiment on the partitioned engine.
+(** Fleet-sharded aggregate experiment.
 
     The fleet-scale roadmap item needs many aggregates / volume groups
-    advancing concurrently on the host.  This experiment shards a fleet
-    of [shards] independent aggregate stacks (engine, RAID, NVLog, CP
-    engine, cleaner pool, client population) across
-    {!Wafl_sim.Partition} partitions and couples them the way a real
-    cluster is coupled — coarsely: partition 0 runs a global CP-epoch
-    coordinator that broadcasts a checkpoint tick to every shard each
-    epoch (the aggregate-wide CP barrier), and every shard reports its
-    completed-operation count back to the coordinator on each tick
-    (fleet telemetry).  Both directions ride {!Wafl_sim.Partition.post}
-    with the conservative lookahead delay.
+    advancing concurrently on the host.  This experiment runs a fleet of
+    [shards] independent aggregate stacks (engine, RAID, NVLog, CP
+    engine, cleaner pool, client population), each as one
+    {!Wafl_util.Pool.map} task with its own engine, and couples them
+    where the paper's architecture synchronizes globally: the
+    aggregate-wide consistency point.  Every [epoch_us] of virtual time
+    a global CP epoch begins, and 1 ms later its tick reaches every
+    shard: the host stops the shard's engine at the tick time, injects
+    a fiber that requests a checkpoint, and records the shard's
+    completed-operation count (fleet telemetry).  The host then folds
+    the per-shard results.
 
-    The outcome is byte-identical at any [domains] (tested in
-    test_domains.ml); on a multicore host wall time scales with
-    [min shards domains]. *)
+    Shards share no state, so the outcome is byte-identical at any
+    [domains] (tested in test_domains.ml); on a multicore host wall time
+    scales with [min shards domains]. *)
 
 type row = {
   shard : int;
@@ -25,10 +26,10 @@ type row = {
 
 type outcome = {
   rows : row list;
-  epochs : int;  (** global CP epochs broadcast during measurement *)
+  epochs : int;  (** global CP epochs begun during measurement *)
   fleet_reported : int;
-      (** sum of the per-shard op totals the coordinator last heard —
-          nonzero proves shard -> coordinator messaging works *)
+      (** sum of the op counts each shard recorded at its last epoch
+          tick — nonzero proves the epoch ticks reach the fleet *)
   horizon : float;  (** final virtual time *)
   telemetry : Wafl_obs.Rollup.snapshot;
       (** per-shard rollup snapshots (each fed only by its own shard's
@@ -39,7 +40,8 @@ type outcome = {
 val run :
   ?scale:float -> ?shards:int -> ?domains:int -> ?seed:int -> unit -> outcome
 (** [run ~scale ~shards ~domains ~seed ()] — [shards] (default 4)
-    partitions, fanned over [domains] (default 1) worker domains. *)
+    independent shards, fanned over [domains] (default 1) worker
+    domains. *)
 
 val digest : outcome -> string
 (** One-line deterministic digest of every field, for byte-identity

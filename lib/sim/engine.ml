@@ -494,7 +494,6 @@ let stalled_fibers t =
       t.all_fibers
 
 let live_fibers t = t.live
-let pending_work t = t.heap_len > 0 || not (Queue.is_empty t.runnable)
 
 (* --- fiber-context operations --- *)
 

@@ -69,12 +69,6 @@ val stalled_fibers : t -> (int * string) list
 val live_fibers : t -> int
 (** Non-daemon fibers spawned and not yet finished. *)
 
-val pending_work : t -> bool
-(** Whether anything remains to execute: queued events or runnable
-    fibers.  False after a [run ~until] that went idle before the limit
-    (parked daemons don't count).  The partitioned driver ({!Partition})
-    uses this to decide when a partition has drained. *)
-
 (** {1 Fiber context operations} *)
 
 val consume : float -> unit

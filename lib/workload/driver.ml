@@ -870,6 +870,5 @@ let run spec =
     result_of spec srv ~cfs ~rec_ ~tstats ~active_samples:!active_samples
       ~active_sum:!active_sum ~duration:(Engine.now eng -. t0) s0 (sample srv)
   in
-  Aggregate.refresh_flash_counters srv.agg;
   stop := true;
   result

@@ -369,6 +369,19 @@ let test_golden name () =
   check "flash GC pages" (fun g -> g.flash_gc_pages);
   Alcotest.(check (list (pair int int))) (name ^ " write latency buckets") want.write_hist got.write_hist
 
+(* The fleet shard experiment, pinned to the values of the partitioned
+   engine it replaced: each shard's measured ops, CPs and utilization and
+   the epoch count.  Only the fleet's "ops heard" total may move across
+   that change, so it is deliberately left out. *)
+let test_shard_golden () =
+  let module S = Wafl_harness.Shard in
+  let o = S.run ~scale:0.1 ~shards:3 () in
+  Alcotest.(check (list string))
+    "shard rows (ops/CPs/util)"
+    [ "15564/4/0.407269"; "15564/4/0.392500"; "15564/4/0.401818" ]
+    (List.map (fun r -> Printf.sprintf "%d/%d/%.6f" r.S.ops r.S.cps r.S.util) o.S.rows);
+  Alcotest.(check int) "shard epochs" 8 o.S.epochs
+
 let () =
   Alcotest.run "regressions"
     [
@@ -390,5 +403,6 @@ let () =
       ( "cross-commit golden",
         List.map
           (fun (name, _) -> Alcotest.test_case name `Quick (test_golden name))
-          golden_specs );
+          golden_specs
+        @ [ Alcotest.test_case "fleet shard" `Quick test_shard_golden ] );
     ]

@@ -421,8 +421,12 @@ let test_mutex_fairness_fifo () =
 
 (* A random "program" of fibers doing consumes, sleeps, yields, channel
    sends/receives and mutex critical sections must produce a bit-identical
-   event trace on every execution. *)
-let run_random_program seed =
+   event trace on every execution — also when the host stops the run at
+   arbitrary [Engine.run ~until] split points and resumes it, which
+   warmup/measure windows and the fleet shard's epoch ticks rely on.
+   Returns the event trace and the final clock separately: a run that
+   drains before a split point jumps its clock to that point by design. *)
+let run_random_program ?(splits = []) seed =
   let r = Wafl_util.Rng.create ~seed in
   let eng = Engine.create ~cores:(1 + Wafl_util.Rng.int r 4) () in
   let trace = Buffer.create 256 in
@@ -455,14 +459,16 @@ let run_random_program seed =
            let v = Sync.Channel.recv ch in
            Buffer.add_string trace (Printf.sprintf "recv%d@%.2f;" v (Engine.now eng))
          done));
+  List.iter (fun until -> Engine.run ~until eng) (List.sort Float.compare splits);
   Engine.run eng;
-  Buffer.add_string trace (Printf.sprintf "end@%.2f" (Engine.now eng));
-  Buffer.contents trace
+  (Buffer.contents trace, Printf.sprintf "end@%.2f" (Engine.now eng))
 
 let prop_engine_deterministic =
   QCheck.Test.make ~name:"random fiber programs replay identically" ~count:60
-    QCheck.(int_bound 100_000)
-    (fun seed -> String.equal (run_random_program seed) (run_random_program seed))
+    QCheck.(pair (int_bound 100_000) (small_list (float_bound_inclusive 400.0)))
+    (fun (seed, splits) ->
+      let whole = run_random_program seed in
+      whole = run_random_program seed && fst (run_random_program ~splits seed) = fst whole)
 
 let prop_no_fiber_starves =
   QCheck.Test.make ~name:"every fiber of a terminating program finishes" ~count:60

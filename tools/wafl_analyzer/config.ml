@@ -14,15 +14,12 @@
    in the tree. *)
 let exempt_units =
   [ "Engine"; "Race"; "Sync"; "Cost"; (* lib/sim: the substrate *)
-    "Partition"; (* lib/sim: the partitioned-engine coordinator — its
-                    outbox/inbox/horizon state is the window-barrier
-                    machinery itself, mutated only between barriers or by
-                    the owning partition's fibers *)
     "Trace"; "Sink"; "Metrics"; "Causal"; "Json"; (* lib/obs: host-side, never schedules *)
     "Isolation"; (* the affinity checker itself *)
     "Counters"; (* relaxed counters, see above *)
-    "Pool" (* the worker-domain pool: its team barrier is built from
-              host Mutex/Condition/Atomic, below the model *) ]
+    "Pool" (* the worker-domain pool: its shared task index and
+              per-task result slots are host Atomic/array state, below
+              the model *) ]
 
 (* Passive containers: mutable data structures with no identity of their
    own.  An access inside them is attributed to the *caller's* argument
@@ -75,7 +72,7 @@ let spawners = [ ("Engine", "spawn"); ("Scheduler", "post"); ("Scheduler", "post
    the [~run] function, so whatever the caller passes (normally a
    wrapper around [Driver.run]) is audited. *)
 let domain_spawners =
-  [ ("Pool", "run"); ("Pool", "map"); ("Pool", "team_run"); ("Exp", "execute") ]
+  [ ("Pool", "run"); ("Pool", "map"); ("Exp", "execute") ]
 
 (* Blocking primitives for the blocking-while-holding-lock pass.
    [Sync.Mutex.lock] is deliberately absent: acquiring a second lock is

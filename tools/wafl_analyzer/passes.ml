@@ -490,9 +490,9 @@ let pass_ownership prog =
 
 (* --- pass 5: domain-safety ---------------------------------------------- *)
 
-(* Closures handed to the worker-domain pool (Wafl_util.Pool.run / map /
-   team_run, Exp.execute's ~run) execute concurrently on OCaml 5 domains —
-   real parallelism, unlike cooperatively-scheduled fibers.  A write to
+(* Closures handed to the worker-domain pool (Wafl_util.Pool.run / map,
+   Exp.execute's ~run) execute concurrently on OCaml 5 domains — real
+   parallelism, unlike cooperatively-scheduled fibers.  A write to
    module-level mutable state (or to a local captured across the pool
    boundary) from code reachable from such a closure is a data race and
    a determinism hazard unless a host mutex is held at the site.
