@@ -45,16 +45,15 @@ type t = {
   causal_on : bool; (* Causal.enabled obs, hoisted likewise *)
   m_busy : Wafl_obs.Metrics.counter;
   m_work : Wafl_obs.Metrics.counter;
+  m_buffers : Wafl_obs.Metrics.counter;
+  m_inodes : Wafl_obs.Metrics.counter;
+  m_get_waits : Wafl_obs.Metrics.counter;
   g_active : Wafl_obs.Metrics.gauge;
   g_pending : Wafl_obs.Metrics.gauge;
   cleaners : cleaner array;
   mutable n_active : int;
   mutable pending_msgs : int;
   idle : Sync.Waitq.t;
-  mutable n_buffers : int;
-  mutable n_inodes : int;
-  mutable n_messages : int;
-  mutable n_get_waits : int;
   busy : float ref; (* a float ref is stored flat: updates never box *)
 }
 
@@ -89,7 +88,7 @@ let rec take_virt ?(spin = 0) t c vol =
       c.virt <- None;
       take_virt ~spin:(spin + 1) t c vol
   | None ->
-      if Infra.virt_cache_length t.infra vol = 0 then t.n_get_waits <- t.n_get_waits + 1;
+      if Infra.virt_cache_length t.infra vol = 0 then Wafl_obs.Metrics.incr t.m_get_waits;
       charge t t.cost.Cost.lock_acquire;
       let b = Infra.get_virt t.infra vol in
       c.virt <- Some (Volume.id vol, b);
@@ -109,7 +108,7 @@ let rec take_phys ?(spin = 0) t c ~payload =
         take_phys ~spin:(spin + 1) t c ~payload
       end
   | None ->
-      if Infra.phys_cache_length t.infra = 0 then t.n_get_waits <- t.n_get_waits + 1;
+      if Infra.phys_cache_length t.infra = 0 then Wafl_obs.Metrics.incr t.m_get_waits;
       charge t t.cost.Cost.lock_acquire;
       let b = Infra.get_phys t.infra in
       c.phys <- Some b;
@@ -194,10 +193,10 @@ let clean_segment t c seg =
     charge t t.cost.Cost.clean_buffer;
     token_probe t c;
     incr c.c_cleaned;
-    t.n_buffers <- t.n_buffers + 1;
+    Wafl_obs.Metrics.incr t.m_buffers;
     if (i - seg.pos + 1) mod 64 = 0 then Engine.yield ()
   done;
-  if seg.whole_inode then t.n_inodes <- t.n_inodes + 1
+  if seg.whole_inode then Wafl_obs.Metrics.incr t.m_inodes
 
 let flush_cleaner t c =
   (match c.phys with
@@ -261,9 +260,8 @@ let cleaner_loop t c () =
         (* Cleaner fibers are reused across unrelated work items: drop any
            leftover span/context so item A can never parent item B. *)
         if t.obs_on then Wafl_obs.Causal.fiber_reset t.obs;
-        Wafl_obs.Metrics.incr t.m_work;
         if Sync.Channel.length c.chan = 0 then release_buckets t c;
-        t.n_messages <- t.n_messages + 1;
+        Wafl_obs.Metrics.incr t.m_work;
         (* Queue-depth bookkeeping is shared with submitters (an atomic
            in a real kernel); the probe also publishes this message's
            cleaning history to wait_idle. *)
@@ -289,7 +287,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra ~max_threads ~initial_threads 
   let agg = Infra.aggregate infra in
   let eng = Aggregate.engine agg in
   let counters = Aggregate.counters agg in
-  let m = Wafl_obs.Trace.metrics obs in
+  let m = Engine.metrics eng in
   let t =
     {
       eng;
@@ -300,6 +298,9 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra ~max_threads ~initial_threads 
       causal_on = Wafl_obs.Causal.enabled obs;
       m_busy = Wafl_obs.Metrics.counter m "cleaner.busy_us";
       m_work = Wafl_obs.Metrics.counter m "cleaner.work_msgs";
+      m_buffers = Wafl_obs.Metrics.counter m "cleaner.buffers_cleaned";
+      m_inodes = Wafl_obs.Metrics.counter m "cleaner.inodes_cleaned";
+      m_get_waits = Wafl_obs.Metrics.counter m "cleaner.get_waits";
       g_active = Wafl_obs.Metrics.gauge m "cleaner.active";
       g_pending = Wafl_obs.Metrics.gauge m "cleaner.pending_msgs";
       cleaners =
@@ -322,10 +323,6 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra ~max_threads ~initial_threads 
       n_active = initial;
       pending_msgs = 0;
       idle = Sync.Waitq.create eng;
-      n_buffers = 0;
-      n_inodes = 0;
-      n_messages = 0;
-      n_get_waits = 0;
       busy = ref 0.0;
     }
   in
@@ -401,8 +398,4 @@ let flush_and_wait t =
   Engine.probe_atomic t.eng ~shared:"cleaner_pool.flush_remaining";
   if !remaining > 0 then Engine.park t.eng
 
-let buffers_cleaned t = t.n_buffers
-let inodes_cleaned t = t.n_inodes
-let messages_processed t = t.n_messages
-let get_waits t = t.n_get_waits
 let utilization_busy t = !(t.busy)

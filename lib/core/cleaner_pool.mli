@@ -28,9 +28,13 @@ type t
 
 val create : ?obs:Wafl_obs.Trace.t -> Infra.t -> max_threads:int -> initial_threads:int -> t
 (** [obs] (default disabled) wraps each cleaner work message in a
-    ["clean work"] span and records pool utilization under the
-    ["cleaner."] metric prefix (cumulative busy time, active-thread and
-    pending-message gauges). *)
+    ["clean work"] span.  Pool activity is counted in the engine's
+    registry under the ["cleaner."] prefix: cumulative busy time, work
+    messages processed (["cleaner.work_msgs"]), buffers and whole inodes
+    cleaned (["cleaner.buffers_cleaned"], ["cleaner.inodes_cleaned"]),
+    GET waits (["cleaner.get_waits"]: a cleaner found the bucket cache
+    empty — the backpressure signal of an underpowered infrastructure),
+    and the active-thread and pending-message gauges. *)
 
 val engine : t -> Wafl_sim.Engine.t
 val max_threads : t -> int
@@ -50,15 +54,6 @@ val flush_and_wait : t -> unit
 (** Make every cleaner (active or not) PUT its partially used buckets and
     commit its stages and token, then wait for the acknowledgements.
     Called at the end of a CP's cleaning phase. *)
-
-(** {1 Statistics} *)
-
-val buffers_cleaned : t -> int
-val inodes_cleaned : t -> int
-val messages_processed : t -> int
-val get_waits : t -> int
-(** Times a cleaner parked in GET because the bucket cache was empty —
-    the backpressure signal of an underpowered infrastructure. *)
 
 val utilization_busy : t -> float
 (** Cumulative virtual µs cleaners spent busy (for the dynamic tuner). *)

@@ -91,7 +91,7 @@ let phase_histo t name =
   match Hashtbl.find_opt t.phase_histos name with
   | Some h -> h
   | None ->
-      let h = Wafl_obs.Metrics.histogram (Wafl_obs.Trace.metrics t.obs) ("cp.phase_us." ^ name) in
+      let h = Wafl_obs.Metrics.histogram (Engine.metrics t.eng) ("cp.phase_us." ^ name) in
       Hashtbl.add t.phase_histos name h;
       h
 
@@ -626,12 +626,8 @@ let run_cp_body t =
   let chaos = Aggregate.chaos t.agg in
   let is_b2b = t.next_is_b2b || chaos.Aggregate.force_b2b in
   if is_b2b then begin
-    Counters.add (Aggregate.counters t.agg) "b2b_cps" 1;
     Wafl_obs.Metrics.incr t.m_b2b;
-    if not t.in_b2b_run then begin
-      Counters.add (Aggregate.counters t.agg) "b2b_episodes" 1;
-      Wafl_obs.Metrics.incr t.m_b2b_episodes
-    end
+    if not t.in_b2b_run then Wafl_obs.Metrics.incr t.m_b2b_episodes
   end;
   t.in_b2b_run <- is_b2b;
   set_phase t "snapshot";
@@ -778,7 +774,7 @@ let run_now t =
 let create ?(obs = Wafl_obs.Trace.disabled) infra pool cfg =
   let agg = Infra.aggregate infra in
   let eng = Aggregate.engine agg in
-  let m = Wafl_obs.Trace.metrics obs in
+  let m = Engine.metrics eng in
   let rgs = Wafl_storage.Geometry.raid_group_count (Aggregate.geometry agg) in
   let t =
     {

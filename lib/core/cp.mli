@@ -35,15 +35,14 @@ type t
 val create : ?obs:Wafl_obs.Trace.t -> Infra.t -> Cleaner_pool.t -> config -> t
 (** Spawns the CP manager fiber (label ["cp"]) and, if configured, the
     timer fiber.  [obs] (default disabled) records the CP phase timeline:
-    one ["cp <phase>"] span per phase, a whole-["CP"] span with
-    buffer/metafile counts, per-phase duration histograms
-    (["cp.phase_us.<phase>"]) and CP count/duration metrics.
+    one ["cp <phase>"] span per phase and a whole-["CP"] span with
+    buffer/metafile counts.  The engine's registry gets the CP count
+    (["cp.count"], ["cp.buffers_cleaned"]) and the CP and per-phase
+    duration histograms (["cp.duration_us"], ["cp.phase_us.<phase>"]).
 
     Back-to-back CPs — a CP whose predecessor committed with the
-    half-full trigger already re-reached — are counted in the aggregate's
-    {!Wafl_fs.Counters} as ["b2b_cps"] (with maximal runs counted as
-    ["b2b_episodes"]) and as the ["cp.b2b"]/["cp.b2b_episodes"]
-    metrics. *)
+    half-full trigger already re-reached — are counted as ["cp.b2b"],
+    with maximal runs counted as ["cp.b2b_episodes"]. *)
 
 val request : t -> unit
 (** Ask for a CP; no-op if one is already running (it will run again

@@ -45,13 +45,13 @@ type t = {
   phys_cache : Bucket.t Sync.Channel.t;
   rgs : rg_state array;
   vols : (int, vol_state) Hashtbl.t;
-  (* statistics *)
-  mutable n_filled : int;
-  mutable n_committed : int;
-  mutable n_allocated : int;
-  mutable n_freed : int;
-  mutable n_touched : int;
-  mutable n_messages : int;
+  (* statistics, counted in the engine's registry *)
+  m_filled : Metrics.counter;
+  m_committed : Metrics.counter;
+  m_allocated : Metrics.counter;
+  m_freed : Metrics.counter;
+  m_touched : Metrics.counter;
+  m_messages : Metrics.counter;
   mutable pending_commits : int;
   commit_idle : Sync.Waitq.t;
 }
@@ -77,7 +77,7 @@ let virt_affinity t ~vol ~sample_vvbn =
   else Aff.Aggregate_vbn t.agg_id
 
 let post t ~affinity body =
-  t.n_messages <- t.n_messages + 1;
+  Metrics.incr t.m_messages;
   Sched.post t.sched ~affinity ~label:"infra" body
 
 (* Commit-type messages are tracked so a CP can wait for every pending
@@ -132,7 +132,7 @@ let distinct_blocks vbns len =
    [len] VBNs of [vbns]. *)
 let charge_bit_updates t vbns len =
   let blocks = distinct_blocks vbns len in
-  t.n_touched <- t.n_touched + blocks;
+  Metrics.add t.m_touched blocks;
   Engine.consume
     ((float_of_int blocks *. t.cost.Cost.metafile_block_touch)
     +. (float_of_int len *. t.cost.Cost.bitmap_bit_update))
@@ -188,7 +188,7 @@ let refill_drive t st ~drive ~base ~lo_dbn =
     scan_range t (Aggregate.agg_map t.agg) ~lo ~hi ~allocatable:(fun v ->
         Aggregate.pvbn_allocatable t.agg v)
   in
-  t.n_filled <- t.n_filled + 1;
+  Metrics.incr t.m_filled;
   (* Per-cycle bookkeeping is shared across the group's Range affinities;
      its mutations are chained (last commit -> refills -> commits), which
      the paired probes express as release/acquire edges. *)
@@ -239,8 +239,8 @@ let commit_bucket t bucket commit_one =
     charge_bit_updates t (Bucket.vbns bucket) n;
     Bucket.iter_consumed bucket commit_one
   end;
-  t.n_allocated <- t.n_allocated + n;
-  t.n_committed <- t.n_committed + 1
+  Metrics.add t.m_allocated n;
+  Metrics.incr t.m_committed
 
 let commit_phys_bucket t st bucket =
   Engine.consume (t.cost.Cost.bucket_fixed +. t.cost.Cost.summary_update);
@@ -282,7 +282,7 @@ let scan_virt_chunk t vs ~lo ~hi =
     scan_range t (Volume.vol_map vs.vol) ~lo ~hi ~allocatable:(fun v ->
         Aggregate.vvbn_allocatable t.agg ~vol:vs.vol v)
   in
-  t.n_filled <- t.n_filled + 1;
+  Metrics.incr t.m_filled;
   Sync.Channel.send vs.cache (Bucket.make ~target:(Bucket.Virt { vol = Volume.id vs.vol }) ~vbns ())
 
 (* The cursor is cheap shared state (an atomic word in a real kernel),
@@ -399,7 +399,7 @@ let commit_frees ?owner t ~target ~vbns ~token =
             let n = Array.length group in
             charge_bit_updates t group n;
             Array.iter commit_one group;
-            t.n_freed <- t.n_freed + n;
+            Metrics.add t.m_freed n;
             if apply_token then flush_token ()))
       groups
   end
@@ -474,6 +474,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) sched agg cfg =
   if cfg.chunk <= 0 || cfg.ranges <= 0 || cfg.vol_buckets_per_cycle <= 0 then
     invalid_arg "Infra.create: bad configuration";
   let eng = Aggregate.engine agg in
+  let m = Engine.metrics eng in
   let geom = Aggregate.geometry agg in
   let rgs =
     Array.init (Wafl_storage.Geometry.raid_group_count geom) (fun rg ->
@@ -502,12 +503,12 @@ let create ?(obs = Wafl_obs.Trace.disabled) sched agg cfg =
       phys_cache = Sync.Channel.create eng;
       rgs;
       vols = Hashtbl.create 8;
-      n_filled = 0;
-      n_committed = 0;
-      n_allocated = 0;
-      n_freed = 0;
-      n_touched = 0;
-      n_messages = 0;
+      m_filled = Metrics.counter m "infra.buckets_filled";
+      m_committed = Metrics.counter m "infra.buckets_committed";
+      m_allocated = Metrics.counter m "infra.vbns_allocated";
+      m_freed = Metrics.counter m "infra.vbns_freed";
+      m_touched = Metrics.counter m "infra.metafile_blocks_touched";
+      m_messages = Metrics.counter m "infra.messages";
       pending_commits = 0;
       commit_idle = Sync.Waitq.create eng;
     }
@@ -551,11 +552,5 @@ let dump t out =
          Printf.fprintf out "  vol %d: cache=%d region=%d next_bit=%d\n%!" vid
            (Sync.Channel.length vs.cache) vs.region vs.next_bit);
   Printf.fprintf out "  infra: physcache=%d pending_commits=%d messages=%d\n%!"
-    (Sync.Channel.length t.phys_cache) t.pending_commits t.n_messages
-
-let buckets_filled t = t.n_filled
-let buckets_committed t = t.n_committed
-let vbns_allocated t = t.n_allocated
-let vbns_freed t = t.n_freed
-let metafile_blocks_touched t = t.n_touched
-let messages_posted t = t.n_messages
+    (Sync.Channel.length t.phys_cache) t.pending_commits
+    (int_of_float (Metrics.value t.m_messages))

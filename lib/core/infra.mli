@@ -82,19 +82,14 @@ val quiesce_commits : t -> unit
 val live_tetrises : t -> Tetris.t list
 (** Current tetris of every RAID group, for CP-boundary flushing. *)
 
-(** {1 Statistics} *)
+(** {1 Statistics}
 
-val buckets_filled : t -> int
-val buckets_committed : t -> int
-val vbns_allocated : t -> int
-(** VBNs committed as used (physical + virtual). *)
-
-val vbns_freed : t -> int
-val metafile_blocks_touched : t -> int
-(** Distinct metafile-block touches across all commit and free messages —
-    the quantity that separates random from sequential write (§V-A2). *)
-
-val messages_posted : t -> int
+    Counted in the engine's registry: ["infra.buckets_filled"],
+    ["infra.buckets_committed"], ["infra.vbns_allocated"] (VBNs committed
+    as used, physical + virtual), ["infra.vbns_freed"],
+    ["infra.metafile_blocks_touched"] (distinct metafile-block touches
+    across all commit and free messages — the quantity that separates
+    random from sequential write, §V-A2) and ["infra.messages"]. *)
 
 val dump : t -> out_channel -> unit
 (** Diagnostic dump of cycle and cache state. *)

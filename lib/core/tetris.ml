@@ -27,7 +27,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) eng ~cost ~raid ~expected_buckets ~b
     raid;
     obs;
     obs_on = Wafl_obs.Trace.enabled obs;
-    m_fill = Wafl_obs.Metrics.histogram (Wafl_obs.Trace.metrics obs) "tetris.fill_blocks";
+    m_fill = Wafl_obs.Metrics.histogram (Engine.metrics eng) "tetris.fill_blocks";
     vbns = Array.make blocks 0;
     payloads = Array.make blocks no_block;
     pending_count = 0;

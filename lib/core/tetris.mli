@@ -21,9 +21,10 @@ val create :
   t
 (** [blocks] sizes the block buffers: the VBNs of the cycle's buckets,
     which bounds what can be enqueued (the buffers grow if exceeded).
-    [obs] (default disabled) records the tetris fill — blocks accumulated
-    per submitted I/O — in the ["tetris.fill_blocks"] histogram, the
-    quantity behind the full-vs-partial-stripe mix. *)
+    The tetris fill — blocks accumulated per submitted I/O, the quantity
+    behind the full-vs-partial-stripe mix — goes to the engine registry's
+    ["tetris.fill_blocks"] histogram; [obs] (default disabled) adds a
+    span per stripe fill. *)
 
 val enqueue : t -> vbn:int -> payload:Wafl_fs.Layout.block -> unit
 val pending_blocks : t -> int

@@ -70,11 +70,6 @@ type t = {
   rng : Wafl_util.Rng.t;
   host_q : Sync.Waitq.t;  (* host writers stalled on free space *)
   gc_q : Sync.Waitq.t;  (* the GC fiber parks here above the high mark *)
-  mutable host_pages : int;
-  mutable gc_pages : int;
-  mutable erases : int;
-  mutable gc_runs : int;
-  mutable gc_stall_us : float;
   mutable erase_until : float;  (* host programs blocked while an erase runs *)
   mutable trims : int;
   m_host : Wafl_obs.Metrics.counter;
@@ -197,7 +192,6 @@ let gc_cycle t victim =
       | None -> assert false
     end
   done;
-  t.gc_pages <- t.gc_pages + !moved;
   Wafl_obs.Metrics.add t.m_gc !moved;
   let t0 = Engine.now t.eng in
   Engine.sleep (float_of_int !moved *. (t.cfg.page_read_us +. t.cfg.page_program_us));
@@ -210,7 +204,6 @@ let gc_cycle t victim =
   (* Erase: the block (fully invalid by now) returns to the free pool. *)
   t.valid.(victim) <- 0;
   t.wear.(victim) <- t.wear.(victim) + 1;
-  t.erases <- t.erases + 1;
   Wafl_obs.Metrics.incr t.m_erase;
   Queue.push victim t.free_q;
   t.free_count <- t.free_count + 1;
@@ -231,7 +224,6 @@ let gc_fiber t () =
     probe t;
     if t.free_count >= high_blocks t then Sync.Waitq.wait t.gc_q
     else begin
-      t.gc_runs <- t.gc_runs + 1;
       Wafl_obs.Metrics.incr t.m_runs;
       (match pick_victim t with
       | Some victim -> gc_cycle t victim
@@ -268,7 +260,6 @@ let host_write t pairs =
             let w0 = Engine.now t.eng in
             Sync.Waitq.wait t.host_q;
             let w = Engine.now t.eng -. w0 in
-            t.gc_stall_us <- t.gc_stall_us +. w;
             Wafl_obs.Metrics.addf t.m_stall w;
             if t.obs_on && w > 0.0 then
               Wafl_obs.Trace.complete t.obs ~cat:"flash" ~name:"flash stall" ~ts:w0 ~dur:w
@@ -278,7 +269,6 @@ let host_write t pairs =
       in
       put ())
     pairs;
-  t.host_pages <- t.host_pages + !n;
   Wafl_obs.Metrics.add t.m_host !n;
   (* Programs queue behind an in-flight GC erase (the die is busy): this
      is the steady-state flavor of GC push-back, felt long before the
@@ -287,7 +277,6 @@ let host_write t pairs =
      let now = Engine.now t.eng in
      if now < t.erase_until then begin
        let w = t.erase_until -. now in
-       t.gc_stall_us <- t.gc_stall_us +. w;
        Wafl_obs.Metrics.addf t.m_stall w;
        if t.obs_on then
          Wafl_obs.Trace.complete t.obs ~cat:"flash" ~name:"flash stall" ~ts:now ~dur:w
@@ -347,7 +336,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) eng ~cfg ~lpns ~rg =
       (logical_blocks + cfg.streams + 1 + gc_reserve + 2)
       (int_of_float (ceil (float_of_int logical_blocks *. (1.0 +. cfg.op_ratio))))
   in
-  let m = Wafl_obs.Trace.metrics obs in
+  let m = Engine.metrics eng in
   let t =
     {
       eng;
@@ -371,11 +360,6 @@ let create ?(obs = Wafl_obs.Trace.disabled) eng ~cfg ~lpns ~rg =
       rng = Wafl_util.Rng.create ~seed:(cfg.seed + (rg * 7919));
       host_q = Sync.Waitq.create eng;
       gc_q = Sync.Waitq.create eng;
-      host_pages = 0;
-      gc_pages = 0;
-      erases = 0;
-      gc_runs = 0;
-      gc_stall_us = 0.0;
       erase_until = 0.0;
       trims = 0;
       m_host = Wafl_obs.Metrics.counter m "flash.host_pages";
@@ -415,19 +399,14 @@ let lpn_count t = t.lpns
 let block_count t = t.nblocks
 let logical_pages t = t.lblocks * t.cfg.pages_per_block
 let stream_appended t = Array.map Stream.appended t.streams_tbl
-let host_pages t = t.host_pages
-let gc_pages t = t.gc_pages
-let erases t = t.erases
-let gc_runs t = t.gc_runs
-let gc_stall_us t = t.gc_stall_us
 let trims t = t.trims
 let free_blocks t = t.free_count
 
 let valid_pages t = Array.fold_left ( + ) 0 t.valid
 
 let waf t =
-  if t.host_pages = 0 then 1.0
-  else float_of_int (t.host_pages + t.gc_pages) /. float_of_int t.host_pages
+  let host = Wafl_obs.Metrics.value t.m_host in
+  if host = 0.0 then 1.0 else (host +. Wafl_obs.Metrics.value t.m_gc) /. host
 
 let max_wear t = Array.fold_left max 0 t.wear
 
@@ -443,8 +422,7 @@ let signature t =
   in
   Array.iter mix t.l2p;
   Array.iter mix t.wear;
-  mix t.host_pages;
-  mix t.gc_pages;
-  mix t.erases;
-  mix (int_of_float t.gc_stall_us);
+  List.iter
+    (fun c -> mix (int_of_float (Wafl_obs.Metrics.value c)))
+    [ t.m_host; t.m_gc; t.m_erase; t.m_stall ];
   Printf.sprintf "%Lx" !h

@@ -82,14 +82,12 @@ val stream_appended : t -> int array
 (** Lifetime pages appended per stream (index [streams] is the internal
     GC relocation stream). *)
 
-val host_pages : t -> int
-val gc_pages : t -> int
-val erases : t -> int
-val gc_runs : t -> int
-
-val gc_stall_us : t -> float
-(** Virtual µs host writers spent blocked by the GC: waiting out an
-    in-flight erase, or parked on an exhausted free pool. *)
+(** Host pages, GC relocations, erases, GC runs and GC stall (virtual µs
+    host writers spent blocked by the GC: waiting out an in-flight erase,
+    or parked on an exhausted free pool) are counted in the engine's
+    registry as ["flash.host_pages"], ["flash.gc_pages"],
+    ["flash.erases"], ["flash.gc_runs"] and ["flash.gc_stall_us"],
+    summed over every FTL on the engine. *)
 
 val trims : t -> int
 val free_blocks : t -> int
@@ -97,8 +95,8 @@ val valid_pages : t -> int
 val max_wear : t -> int
 
 val waf : t -> float
-(** Measured write amplification, [(host + gc pages) / host pages];
-    [1.0] before any host write. *)
+(** Measured write amplification from the registry counters,
+    [(host + gc pages) / host pages]; [1.0] before any host write. *)
 
 val block_of_lpn : t -> int -> int
 (** Erase block currently holding [lpn], [-1] if unmapped. *)

@@ -75,11 +75,9 @@ type t = {
      not yet appended, so admission sees NVRAM slots already spoken for. *)
   mutable cp_trigger : (unit -> unit) option;
   mutable log_inflight : int;
-  mutable stall_us : float;
-  mutable hard_dwell_us : float;
-  exhausted_cell : int ref;
-  m_stall : Wafl_obs.Metrics.counter;
-  m_hard_dwell : Wafl_obs.Metrics.counter;
+  m_exhausted : Metrics.counter;
+  m_stall : Metrics.counter;
+  m_hard_dwell : Metrics.counter;
 }
 
 let free_counter = "agg_free_blocks"
@@ -101,63 +99,56 @@ let init_aa_free geom =
       Array.make (Geometry.aa_count geom)
         (Geometry.aa_stripes geom * Geometry.data_drives geom ~rg))
 
-let create ?(nvlog_half = 16384) ?nvlog_watermarks ?(cache_blocks = 65536) ?queue_depth ?obs
-    ?flash ?(chaos = no_chaos) eng ~cost ~geometry () =
-  let disk = Disk.create geometry in
-  let pers =
+(* The one record builder: a fresh, empty mount of [pers]; {!create}
+   sizes a new image, {!recover} loads the superblock tree on top. *)
+let mount ?(cache_blocks = 65536) ?queue_depth ?obs ~chaos eng ~cost pers =
+  let geom = Disk.geometry pers.p_disk in
+  let counters = Counters.create () in
+  let m = Engine.metrics eng in
+  Counters.set counters free_counter (Geometry.total_data_blocks geom);
+  {
+    eng;
+    cost;
+    chaos;
+    geom;
+    pers;
+    raids = make_raids eng cost pers.p_disk geom queue_depth obs pers.p_flash;
+    flash_on = pers.p_flash <> None;
+    agg_map = Bitmap_file.create ~bits:(Geometry.total_data_blocks geom);
+    aa_free_tbl = init_aa_free geom;
+    vols = [];
+    vols_tbl = Hashtbl.create 8;
+    vol_free_cells = Hashtbl.create 8;
+    free_cell = Counters.cell counters free_counter;
+    held_cell = Counters.cell counters "snapshot_held_blocks";
+    snap_union = Bytes.empty;
+    vvbn_region_free = Hashtbl.create 8;
+    counters;
+    recently_freed = Bitops.make_words ((Geometry.total_data_blocks geom + 63) / 64);
+    last_vol = None;
+    cache = Buffer_cache.create ~capacity:cache_blocks;
+    snaps = [];
+    log_space = Sync.Waitq.create eng;
+    next_vol_id = 0;
+    generation = 0;
+    cp_count = 0;
+    cp_in_progress = false;
+    cp_trigger = None;
+    log_inflight = 0;
+    m_exhausted = Metrics.counter m "nvlog.exhausted_writes";
+    m_stall = Metrics.counter m "nvlog.stall_us";
+    m_hard_dwell = Metrics.counter m "nvlog.hard_dwell_us";
+  }
+
+let create ?(nvlog_half = 16384) ?nvlog_watermarks ?cache_blocks ?queue_depth ?obs ?flash
+    ?(chaos = no_chaos) eng ~cost ~geometry () =
+  mount ?cache_blocks ?queue_depth ?obs ~chaos eng ~cost
     {
-      p_disk = disk;
+      p_disk = Disk.create geometry;
       p_sb = None;
       p_nvlog = Nvlog.create ~half_capacity:nvlog_half ?watermarks:nvlog_watermarks ();
       p_flash = flash;
     }
-  in
-  let counters = Counters.create () in
-  let t =
-    {
-      eng;
-      cost;
-      chaos;
-      geom = geometry;
-      pers;
-      raids = make_raids eng cost disk geometry queue_depth obs flash;
-      flash_on = flash <> None;
-      agg_map = Bitmap_file.create ~bits:(Geometry.total_data_blocks geometry);
-      aa_free_tbl = init_aa_free geometry;
-      vols = [];
-      vols_tbl = Hashtbl.create 8;
-      vol_free_cells = Hashtbl.create 8;
-      free_cell = Counters.cell counters free_counter;
-      held_cell = Counters.cell counters "snapshot_held_blocks";
-      snap_union = Bytes.empty;
-      vvbn_region_free = Hashtbl.create 8;
-      counters;
-      recently_freed = Bitops.make_words ((Geometry.total_data_blocks geometry + 63) / 64);
-      last_vol = None;
-      cache = Buffer_cache.create ~capacity:cache_blocks;
-      snaps = [];
-      log_space = Sync.Waitq.create eng;
-      next_vol_id = 0;
-      generation = 0;
-      cp_count = 0;
-      cp_in_progress = false;
-      cp_trigger = None;
-      log_inflight = 0;
-      stall_us = 0.0;
-      hard_dwell_us = 0.0;
-      exhausted_cell = Counters.cell counters "nvlog_exhausted_writes";
-      m_stall =
-        Wafl_obs.Metrics.counter
-          (Wafl_obs.Trace.metrics (Option.value obs ~default:Wafl_obs.Trace.disabled))
-          "nvlog.stall_us";
-      m_hard_dwell =
-        Wafl_obs.Metrics.counter
-          (Wafl_obs.Trace.metrics (Option.value obs ~default:Wafl_obs.Trace.disabled))
-          "nvlog.hard_dwell_us";
-    }
-  in
-  Counters.set t.counters free_counter (Geometry.total_data_blocks geometry);
-  t
 
 let engine t = t.eng
 let cost t = t.cost
@@ -242,7 +233,7 @@ let write t ~vol ~file ~fbn ~content =
        simply never gets an acknowledgement for this op.  Unreachable
        once watermark back-pressure is on — admission stops at the hard
        watermark with headroom to spare. *)
-    t.exhausted_cell := !(t.exhausted_cell) + 1;
+    Metrics.incr t.m_exhausted;
     `Log_exhausted
   end
   else begin
@@ -276,18 +267,6 @@ let ftls t = Array.to_list t.raids |> List.filter_map Raid.flash
 (* Route tetris payloads to flash write streams (no-op without a media
    model; installed by Walloc when the [streams] policy is on). *)
 let set_stream_classifier t f = Array.iter (fun r -> Raid.set_stream_of r f) t.raids
-
-(* Mirror the fault-plan counters into the global counter table so
-   operators and tests read them through Counters / Report. *)
-let refresh_fault_counters t =
-  match Disk.fault t.pers.p_disk with
-  | None -> ()
-  | Some f ->
-      Counters.set t.counters "media_errors" (Fault.media_errors_seen f);
-      Counters.set t.counters "degraded_reads" (Fault.degraded_reads f);
-      Counters.set t.counters "transient_retries" (Fault.transient_retries f);
-      Counters.set t.counters "rebuild_blocks" (Fault.rebuild_blocks f);
-      Counters.set t.counters "unrecoverable_reads" (Fault.unrecoverable_reads f)
 
 (* Like [read] but reports whether the on-disk path hit the buffer cache;
    the caller charges the miss cost.  [`Buffered] means the block was
@@ -329,21 +308,8 @@ let read t ~vol ~file ~fbn = fst (read_cached_status t ~vol ~file ~fbn)
 
 let set_cp_trigger t trigger = t.cp_trigger <- Some trigger
 let request_cp t = match t.cp_trigger with Some trigger -> trigger () | None -> ()
-let stall_time t = t.stall_us
-
-let note_stall t dt =
-  if dt > 0.0 then begin
-    t.stall_us <- t.stall_us +. dt;
-    Wafl_obs.Metrics.addf t.m_stall dt
-  end
-
-let hard_dwell_time t = t.hard_dwell_us
-
-let note_hard_dwell t dt =
-  if dt > 0.0 then begin
-    t.hard_dwell_us <- t.hard_dwell_us +. dt;
-    Wafl_obs.Metrics.addf t.m_hard_dwell dt
-  end
+let note_stall t dt = if dt > 0.0 then Metrics.addf t.m_stall dt
+let note_hard_dwell t dt = if dt > 0.0 then Metrics.addf t.m_hard_dwell dt
 
 let wait_for_log_space t =
   if t.chaos.inject_hard_dwell > 0.0 then note_hard_dwell t t.chaos.inject_hard_dwell;
@@ -750,53 +716,9 @@ let recompute_vvbn_regions t vol =
       regions.(r) <- Bitmap_file.count_free_in vmap ~lo ~hi)
     regions
 
-let recover ?(cache_blocks = 65536) ?queue_depth ?obs eng ~cost pers =
-  let geom = Disk.geometry pers.p_disk in
-  let counters = Counters.create () in
-  let t =
-    {
-      eng;
-      cost;
-      chaos = no_chaos;
-      geom;
-      pers;
-      raids = make_raids eng cost pers.p_disk geom queue_depth obs pers.p_flash;
-      flash_on = pers.p_flash <> None;
-      agg_map = Bitmap_file.create ~bits:(Geometry.total_data_blocks geom);
-      aa_free_tbl = init_aa_free geom;
-      vols = [];
-      vols_tbl = Hashtbl.create 8;
-      vol_free_cells = Hashtbl.create 8;
-      free_cell = Counters.cell counters free_counter;
-      held_cell = Counters.cell counters "snapshot_held_blocks";
-      snap_union = Bytes.empty;
-      vvbn_region_free = Hashtbl.create 8;
-      counters;
-      recently_freed = Bitops.make_words ((Geometry.total_data_blocks geom + 63) / 64);
-      last_vol = None;
-      cache = Buffer_cache.create ~capacity:cache_blocks;
-      snaps = [];
-      log_space = Sync.Waitq.create eng;
-      next_vol_id = 0;
-      generation = 0;
-      cp_count = 0;
-      cp_in_progress = false;
-      cp_trigger = None;
-      log_inflight = 0;
-      stall_us = 0.0;
-      hard_dwell_us = 0.0;
-      exhausted_cell = Counters.cell counters "nvlog_exhausted_writes";
-      m_stall =
-        Wafl_obs.Metrics.counter
-          (Wafl_obs.Trace.metrics (Option.value obs ~default:Wafl_obs.Trace.disabled))
-          "nvlog.stall_us";
-      m_hard_dwell =
-        Wafl_obs.Metrics.counter
-          (Wafl_obs.Trace.metrics (Option.value obs ~default:Wafl_obs.Trace.disabled))
-          "nvlog.hard_dwell_us";
-    }
-  in
-  Counters.set t.counters free_counter (Geometry.total_data_blocks geom);
+let recover ?cache_blocks ?queue_depth ?obs eng ~cost pers =
+  let t = mount ?cache_blocks ?queue_depth ?obs ~chaos:no_chaos eng ~cost pers in
+  let geom = t.geom in
   (match pers.p_sb with
   | None -> ()
   | Some sb ->

@@ -80,6 +80,10 @@ val raid : t -> rg:int -> Layout.block Wafl_storage.Raid.t
 val raid_groups : t -> Layout.block Wafl_storage.Raid.t array
 val nvlog : t -> Nvlog.t
 val counters : t -> Counters.t
+(** The loosely accounted model counters (§III-C): free and
+    snapshot-held block counts and the deltas cleaners stage in tokens.
+    Statistics live in the engine's registry instead. *)
+
 val agg_map : t -> Bitmap_file.t
 
 val flash_enabled : t -> bool
@@ -110,8 +114,8 @@ val write :
 (** Log the operation, dirty the buffer and queue the inode for the next
     CP.  [`Log_half_full] asks the caller to trigger a CP.
     [`Log_exhausted] means NVRAM is completely full and the operation was
-    shed {e without} being logged or applied (counted as
-    ["nvlog_exhausted_writes"] in {!counters} and reported by
+    shed {e without} being logged or applied (counted in the engine's
+    registry as ["nvlog.exhausted_writes"] and reported by
     {!Report.faults}); with watermark back-pressure enabled this is
     unreachable. *)
 
@@ -131,12 +135,6 @@ val read_pvbn : t -> int -> Layout.block option
     errors and degraded groups are reconstructed from the parity model.
     Raises {!Corruption} on a double failure ([`Lost]). *)
 
-val refresh_fault_counters : t -> unit
-(** Mirror the attached fault plan's counters ([media_errors],
-    [degraded_reads], [transient_retries], [rebuild_blocks],
-    [unrecoverable_reads]) into {!counters}; call it before reading
-    them.  No-op without a fault plan. *)
-
 val wait_for_log_space : t -> unit
 (** Write-admission throttle; call once before each {!write}.
 
@@ -149,19 +147,13 @@ val wait_for_log_space : t -> unit
     watermark triggers an early CP (via {!set_cp_trigger}) and paces the
     write with a deterministic delay; at the hard watermark admission
     parks until a CP commit frees space.  Time spent parked or paced
-    accumulates in {!stall_time} and the ["nvlog.stall_us"] metric. *)
+    accumulates in the engine registry's ["nvlog.stall_us"] counter; the
+    part parked above the hard watermark also in
+    ["nvlog.hard_dwell_us"]. *)
 
 val set_cp_trigger : t -> (unit -> unit) -> unit
 (** Install the early-CP hook used by watermark admission (normally
     [Cp.request], installed by [Walloc.create]). *)
-
-val stall_time : t -> float
-(** Total virtual µs clients have spent stalled (parked or paced) in
-    {!wait_for_log_space}. *)
-
-val hard_dwell_time : t -> float
-(** Subset of {!stall_time}: virtual µs spent parked above the hard
-    watermark (also in the [nvlog.hard_dwell_us] metric). *)
 
 (** {1 Physical allocation state (infrastructure side)} *)
 

@@ -15,9 +15,12 @@ val allocation_areas : Aggregate.t -> string
     policy operates on. *)
 
 val perf : ?elapsed:float -> Wafl_obs.Metrics.t -> string
-(** Operator performance summary from a tracer's metrics registry
-    ([Wafl_obs.Trace.metrics]): CP count and duration percentiles with
-    per-phase virtual-time totals, per-affinity-kind queue wait/service
+(** Operator performance summary from an engine's metrics registry
+    ([Wafl_sim.Engine.metrics], or [Wafl_obs.Trace.metrics] of an
+    attached tracer).  Counters are live on every run; most histograms
+    and gauges fill only under an enabled tracer.  Reports CP count and
+    duration percentiles with per-phase virtual-time totals,
+    per-affinity-kind queue wait/service
     p50/p99, cleaner-pool activity (utilization when [elapsed] — the
     run's virtual duration — is given), RAID I/O service times and
     tetris stripe fill.  When the run saw overload machinery engage, an
@@ -28,8 +31,9 @@ val perf : ?elapsed:float -> Wafl_obs.Metrics.t -> string
 
 val faults : Aggregate.t -> string
 (** Fault-injection counters (media errors, transient retries, degraded
-    reads, rebuild progress) and any RAID group currently degraded;
-    refreshes the counters first.  One line when no plan is attached.
-    Writes refused on an exhausted NVRAM ([Nvlog.Exhausted], counter
-    ["nvlog_exhausted_writes"]) are reported here too — they indicate
-    admission control failed to throttle clients against CP progress. *)
+    reads, rebuild progress), read from the attached fault plan, and any
+    RAID group currently degraded.  One line when no plan is attached.
+    Writes refused on an exhausted NVRAM (registry counter
+    ["nvlog.exhausted_writes"]) are reported here too — they indicate
+    admission control failed to throttle clients against CP progress.
+    Read-only: reporting never mutates the aggregate. *)

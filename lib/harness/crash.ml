@@ -147,12 +147,8 @@ let run_one ?(ops = 100_000) ?(fbn_space = 700) ?(horizon = 60_000.0) ?(sanitize
   let mid_cp = Wafl_core.Cp.running cp in
   let cp_phase = Wafl_core.Cp.phase cp in
   let cps_before_crash = Wafl_core.Cp.cps_completed cp in
-  let b2b_cps = Counters.read (Aggregate.counters agg) "b2b_cps" in
-  let stall_us = Aggregate.stall_time agg in
-  let exhausted_writes = Counters.read (Aggregate.counters agg) "nvlog_exhausted_writes" in
-  let ftls = Aggregate.ftls agg in
-  let flash_gc_pages = List.fold_left (fun a f -> a + Wafl_flash.Ftl.gc_pages f) 0 ftls in
-  let flash_erases = List.fold_left (fun a f -> a + Wafl_flash.Ftl.erases f) 0 ftls in
+  let stat name = Metrics.counter_value (Engine.metrics eng) name in
+  let count name = int_of_float (stat name) in
   let disk_failure_active = Array.exists Raid.degraded (Aggregate.raid_groups agg) in
   (* The crash tears the scheduled NVRAM tail: those records' DMA was in
      flight, so their acknowledgements never left the box — retract them
@@ -197,8 +193,7 @@ let run_one ?(ops = 100_000) ?(fbn_space = 700) ?(horizon = 60_000.0) ?(sanitize
                keys));
       Engine.run eng2;
       races := !races + Engine.race_report_count eng2;
-      (try Aggregate.fsck agg2 with Failure m -> fsck_failure := Some m);
-      Aggregate.refresh_fault_counters agg2);
+      try Aggregate.fsck agg2 with Failure m -> fsck_failure := Some m);
   {
     seed;
     crash_time;
@@ -214,11 +209,11 @@ let run_one ?(ops = 100_000) ?(fbn_space = 700) ?(horizon = 60_000.0) ?(sanitize
     transient_retries = Fault.transient_retries plan;
     degraded_reads = Fault.degraded_reads plan;
     rebuild_blocks = Fault.rebuild_blocks plan;
-    b2b_cps;
-    stall_us;
-    exhausted_writes;
-    flash_gc_pages;
-    flash_erases;
+    b2b_cps = count "cp.b2b";
+    stall_us = stat "nvlog.stall_us";
+    exhausted_writes = count "nvlog.exhausted_writes";
+    flash_gc_pages = count "flash.gc_pages";
+    flash_erases = count "flash.erases";
     races = !races;
   }
 

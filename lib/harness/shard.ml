@@ -40,34 +40,28 @@ let geometry () =
 
 type shard_state = {
   eng : Engine.t;
-  ops_done : int ref;
+  ops_done : Metrics.counter;
   cp : Wafl_core.Cp.t;
   roll : Wafl_obs.Rollup.t;
 }
 
 let setup sid ~seed =
   let eng = Engine.create ~cores:4 () in
-  (* Each shard gets its own metrics-only tracer: a live per-engine
-     registry, so samples attribute to the owning shard's engine rather
-     than the per-domain throwaway registry disabled tracers share. *)
-  let obs = Wafl_obs.Trace.metrics_only eng in
-  let agg =
-    Aggregate.create eng ~cost:Cost.default ~geometry:(geometry ()) ~nvlog_half:2048 ~obs ()
-  in
+  (* Every shard engine owns its registry, so the rollup below reads this
+     shard's counters only; no tracer is needed for them. *)
+  let agg = Aggregate.create eng ~cost:Cost.default ~geometry:(geometry ()) ~nvlog_half:2048 () in
   (* CPs come only from the global epoch ticks (and log-half-full
      self-defense), so per-shard CP counts expose the coupling. *)
   let cfg =
     { (Wafl_core.Walloc.default_config) with Wafl_core.Walloc.cleaner_threads = 2; cp_timer = None }
   in
-  let walloc = Wafl_core.Walloc.create ~obs agg cfg in
-  let ops_done = ref 0 in
-  let roll = Wafl_obs.Rollup.create ~config:rollup_config eng in
-  Wafl_obs.Rollup.add_source roll ~name:"ops" (fun () -> float_of_int !ops_done);
-  Wafl_obs.Rollup.add_source roll ~name:"cp.count" (fun () ->
-      float_of_int (Wafl_core.Cp.cps_completed (Wafl_core.Walloc.cp walloc)));
-  Wafl_obs.Rollup.add_source roll ~name:"cp.b2b" (fun () ->
-      float_of_int (Counters.read (Aggregate.counters agg) "b2b_cps"));
-  Wafl_obs.Rollup.add_source roll ~name:"nvlog.stall_us" (fun () -> Aggregate.stall_time agg);
+  let walloc = Wafl_core.Walloc.create agg cfg in
+  let ops_done = Metrics.counter (Engine.metrics eng) "ops" in
+  let roll =
+    Wafl_obs.Rollup.create ~config:rollup_config
+      ~counters:[ "ops"; "cp.count"; "cp.b2b"; "nvlog.stall_us" ]
+      eng
+  in
   ignore
     (Engine.spawn eng ~label:"client" (fun () ->
          let vol = Aggregate.create_volume agg ~vvbn_space:65536 in
@@ -92,10 +86,10 @@ let setup sid ~seed =
                     let fbn = Wafl_util.Rng.int rng fbn_space in
                     let content = Int64.of_int ((!i * 131) + (sid * 17) + fbn) in
                     (match Aggregate.write agg ~vol:vid ~file ~fbn ~content with
-                    | `Ok -> incr ops_done
+                    | `Ok -> Metrics.incr ops_done
                     | `Log_half_full ->
                         Wafl_core.Cp.request (Wafl_core.Walloc.cp walloc);
-                        incr ops_done
+                        Metrics.incr ops_done
                     | `Log_exhausted -> ());
                     Wafl_obs.Rollup.count roll ~vol:vid `Completed;
                     Wafl_obs.Rollup.observe_write roll ~vol:vid (Engine.now eng -. started);
@@ -103,6 +97,8 @@ let setup sid ~seed =
                   done))
          done));
   { eng; ops_done; cp = Wafl_core.Walloc.cp walloc; roll }
+
+let ops s = int_of_float (Metrics.value s.ops_done)
 
 type shard_result = { row : row; heard : int; snap : Wafl_obs.Rollup.snapshot }
 
@@ -122,20 +118,20 @@ let run_shard ~warmup ~measure ~seed sid =
       ignore
         (Engine.spawn s.eng ~label:"epoch" ~at:!next_tick (fun () ->
              Wafl_core.Cp.request s.cp;
-             heard := !(s.ops_done)));
+             heard := ops s));
       next_tick := !next_tick +. epoch_us
     done;
     Engine.run ~until s.eng
   in
   advance ~until:warmup;
-  let ops0 = !(s.ops_done) and cps0 = Wafl_core.Cp.cps_completed s.cp in
+  let ops0 = ops s and cps0 = Wafl_core.Cp.cps_completed s.cp in
   Engine.reset_accounting s.eng;
   advance ~until:(warmup +. measure);
   {
     row =
       {
         shard = sid;
-        ops = !(s.ops_done) - ops0;
+        ops = ops s - ops0;
         cps = Wafl_core.Cp.cps_completed s.cp - cps0;
         util = Engine.utilization s.eng;
       };

@@ -1,4 +1,5 @@
 module Engine = Wafl_sim.Engine
+module Metrics = Wafl_sim.Metrics
 module Histogram = Wafl_util.Histogram
 
 type config = {
@@ -56,12 +57,15 @@ type acc = {
    quiet volume with outstanding backlog still gets a row. *)
 type totals = { mutable t_admitted : int; mutable t_completed : int }
 
+(* Sources are registry names, read at seal time; each counter and sketch
+   keeps its value at the previous seal. *)
 type t = {
   eng : Engine.t;
   cfg : config;
-  mutable sources : (string * (unit -> float) * float ref) list;  (* name, read, prev *)
-  mutable gauges : (string * (unit -> float)) list;
-  mutable hsources : (string * (unit -> Histogram.t option) * Histogram.t option ref) list;
+  reg : Metrics.t;  (* the engine's registry *)
+  counters : (string * float ref) list;
+  gauges : string list;
+  sketches : (string * Histogram.t option ref) list;
   mutable seal_cbs : (t -> window -> unit) list;  (* reverse registration order *)
   vols : (int, acc) Hashtbl.t;  (* open window *)
   totals : (int, totals) Hashtbl.t;
@@ -79,17 +83,19 @@ let vol_window_bytes cfg =
 
 let seq_of cfg now = int_of_float (Float.floor (now /. cfg.window_us))
 
-let create ?(config = default_config) eng =
+let create ?(config = default_config) ?(counters = []) ?(gauges = []) ?(sketches = []) eng =
   let cfg = config in
   if cfg.window_us <= 0.0 || cfg.windows <= 0 then invalid_arg "Rollup.create";
   if (cfg.windows + 1) * vol_window_bytes cfg > cfg.vol_budget_bytes then
     invalid_arg "Rollup.create: ring exceeds vol_budget_bytes";
+  let reg = Engine.metrics eng in
   {
     eng;
     cfg;
-    sources = [];
-    gauges = [];
-    hsources = [];
+    reg;
+    counters = List.map (fun name -> (name, ref (Metrics.counter_value reg name))) counters;
+    gauges;
+    sketches = List.map (fun name -> (name, ref None)) sketches;
     seal_cbs = [];
     vols = Hashtbl.create 64;
     totals = Hashtbl.create 64;
@@ -99,9 +105,6 @@ let create ?(config = default_config) eng =
 
 let config t = t.cfg
 
-let add_source t ~name f = t.sources <- t.sources @ [ (name, f, ref (f ())) ]
-let add_gauge t ~name f = t.gauges <- t.gauges @ [ (name, f) ]
-let add_hsource t ~name f = t.hsources <- t.hsources @ [ (name, f, ref None) ]
 let on_seal t cb = t.seal_cbs <- cb :: t.seal_cbs
 
 let by_name (a, _) (b, _) = compare a b
@@ -109,19 +112,21 @@ let by_name (a, _) (b, _) = compare a b
 let seal_window t seq =
   let counters =
     List.map
-      (fun (name, read, prev) ->
-        let v = read () in
+      (fun (name, prev) ->
+        let v = Metrics.counter_value t.reg name in
         let d = v -. !prev in
         prev := v;
         (name, d))
-      t.sources
+      t.counters
     |> List.sort by_name
   in
-  let gauges = List.map (fun (name, read) -> (name, read ())) t.gauges |> List.sort by_name in
+  let gauges =
+    List.map (fun name -> (name, Metrics.gauge_value t.reg name)) t.gauges |> List.sort by_name
+  in
   let sketches =
     List.filter_map
-      (fun (name, read, prev) ->
-        match read () with
+      (fun (name, prev) ->
+        match Metrics.histo t.reg name with
         | None -> None
         | Some h ->
             let d =
@@ -131,7 +136,7 @@ let seal_window t seq =
             in
             prev := Some (Histogram.copy h);
             Some (name, d))
-      t.hsources
+      t.sketches
     |> List.sort by_name
   in
   let backlog vol =

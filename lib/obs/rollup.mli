@@ -1,8 +1,11 @@
 (** Bounded-memory sliding-window telemetry rollups (virtual time).
 
     A rollup keeps a fixed ring of time windows.  Each sealed window holds
-    counter deltas (sampled from cumulative sources), gauge readings,
-    log-bucketed latency sketches, and per-volume activity rows.  Memory
+    counter deltas and gauge readings, log-bucketed latency sketches, and
+    per-volume activity rows.  Counters, gauges and sketches are views
+    over the engine's metrics registry ({!Wafl_sim.Engine.metrics}): the
+    rollup is given their names and reads them at seal time, so a window
+    reports exactly what the run's results read.  Memory
     is O(volumes x windows), independent of run length, with an explicit
     per-volume byte budget checked at {!create}.
 
@@ -53,8 +56,19 @@ type window = {
 type snapshot = { s_window_us : float; s_windows : window list  (** oldest first *) }
 type t
 
-val create : ?config:config -> Wafl_sim.Engine.t -> t
-(** Raises [Invalid_argument] if the configured ring cannot fit in
+val create :
+  ?config:config ->
+  ?counters:string list ->
+  ?gauges:string list ->
+  ?sketches:string list ->
+  Wafl_sim.Engine.t ->
+  t
+(** Roll up the named registry instruments (default: none).  Each sealed
+    window records every named counter's delta since the previous seal
+    (first window: since [create]), every named gauge as-is, and every
+    named histogram's bucket-wise delta; a histogram not yet registered
+    is skipped, a missing counter or gauge reads 0.  Raises
+    [Invalid_argument] if the configured ring cannot fit in
     [vol_budget_bytes] per volume. *)
 
 val config : t -> config
@@ -66,18 +80,6 @@ val vol_window_bytes : config -> int
     open window). *)
 
 (** {1 Feeding} *)
-
-val add_source : t -> name:string -> (unit -> float) -> unit
-(** Register a cumulative counter source; each sealed window records the
-    delta since the previous seal (first window: since registration). *)
-
-val add_gauge : t -> name:string -> (unit -> float) -> unit
-(** Register a gauge; sampled as-is at each seal. *)
-
-val add_hsource : t -> name:string -> (unit -> Wafl_util.Histogram.t option) -> unit
-(** Register a cumulative histogram source; each sealed window records
-    the bucket-wise delta since the previous seal.  [None] readings are
-    skipped (the instrument does not exist yet). *)
 
 val observe_write : t -> vol:int -> float -> unit
 (** Record one completed write for [vol] with the given end-to-end

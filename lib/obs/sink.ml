@@ -25,20 +25,20 @@ type t = {
   buf : ev option array;
   mutable next : int; (* slot receiving the next event *)
   mutable len : int;
-  mutable n_dropped : int;
+  n_dropped : Wafl_sim.Metrics.counter;
 }
 
-let create ~capacity =
+let create ~capacity ~dropped =
   if capacity <= 0 then invalid_arg "Sink.create: capacity must be positive";
-  { cap = capacity; buf = Array.make capacity None; next = 0; len = 0; n_dropped = 0 }
+  { cap = capacity; buf = Array.make capacity None; next = 0; len = 0; n_dropped = dropped }
 
 let record t ev =
-  if t.len = t.cap then t.n_dropped <- t.n_dropped + 1 else t.len <- t.len + 1;
+  if t.len = t.cap then Wafl_sim.Metrics.incr t.n_dropped else t.len <- t.len + 1;
   t.buf.(t.next) <- Some ev;
   t.next <- (t.next + 1) mod t.cap
 
 let length t = t.len
-let dropped t = t.n_dropped
+let dropped t = int_of_float (Wafl_sim.Metrics.value t.n_dropped)
 
 (* Oldest to newest. *)
 let iter t f =
@@ -46,9 +46,3 @@ let iter t f =
   for i = 0 to t.len - 1 do
     match t.buf.((start + i) mod t.cap) with Some ev -> f ev | None -> ()
   done
-
-let clear t =
-  Array.fill t.buf 0 t.cap None;
-  t.next <- 0;
-  t.len <- 0;
-  t.n_dropped <- 0

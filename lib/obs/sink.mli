@@ -22,12 +22,13 @@ type ev = {
 
 type t
 
-val create : capacity:int -> t
+val create : capacity:int -> dropped:Wafl_sim.Metrics.counter -> t
+(** [dropped] counts overwritten events; it is the registry's
+    ["trace.drops"] counter, so rollups see ring drops too. *)
+
 val record : t -> ev -> unit
 val length : t -> int
 val dropped : t -> int
 
 val iter : t -> (ev -> unit) -> unit
 (** Visit retained events oldest to newest. *)
-
-val clear : t -> unit

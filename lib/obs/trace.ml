@@ -26,18 +26,19 @@ type prof_cell = { mutable p_total : float; mutable p_count : int }
 type enabled = {
   eng : Engine.t;
   record : bool;
-      (* false for a metrics-only tracer ({!metrics_only}): instruments
-         stay live (registered and updated by components), but span /
-         instant / flow recording and the CPU profile are skipped, so an
-         always-on telemetry attachment costs only the metric updates. *)
+      (* false for a metrics-only tracer ({!metrics_only}): components
+         still fill their tracer-gated instruments, but span / instant /
+         flow recording and the CPU profile are skipped, so an always-on
+         telemetry attachment costs only the metric updates. *)
   sink : Sink.t;
-  metrics : Metrics.t;
   stacks : (int, frame list ref) Hashtbl.t; (* span stack per fiber id *)
   names : (int, string) Hashtbl.t; (* last-seen accounting label per fiber *)
   profile : (string, prof_cell) Hashtbl.t;
   mutable profile_order : string list; (* first-appearance, newest first *)
   sample_interval : float; (* 0.0 disables the metrics timeseries *)
   mutable next_sample : float;
+  mutable sampled_counters : (string * float) list; (* as of the last sample *)
+  mutable sampled_gauges : (string * float) list;
   (* Causal mode (see Causal / DESIGN.md §4.10): explicit request-context
      propagation across asynchronous handoffs, recorded as flow events. *)
   causal : bool;
@@ -51,34 +52,38 @@ type t = { state : enabled option }
 let disabled = { state = None }
 let enabled t = t.state <> None
 
-(* Writes to this registry are lost by design: disabled instrumentation
-   that registers instruments anyway lands here.  One registry per
-   domain (not one per process): concurrent untraced runs on worker
-   domains (Wafl_util.Pool) would otherwise race on the registry's
-   hash tables. *)
-let null_metrics_key : Metrics.t Domain.DLS.key = Domain.DLS.new_key Metrics.create
-let metrics t = match t.state with Some s -> s.metrics | None -> Domain.DLS.get null_metrics_key
+(* The registry belongs to the engine, not the tracer.  A disabled
+   tracer knows no engine, so it hands out a fresh detached registry. *)
+let metrics t = match t.state with Some s -> Engine.metrics s.eng | None -> Metrics.create ()
 let engine t = Option.map (fun s -> s.eng) t.state
 
 (* --- metric sampling ----------------------------------------------------- *)
 
+(* A sample records only the instruments whose value moved since the
+   previous sample (a counter series holds its last value), so idle
+   instruments take no room in the ring. *)
 let sample s ~now =
-  let put (name, v) =
-    Sink.record s.sink
-      {
-        ph = 'C';
-        cat = "metrics";
-        name;
-        ts = now;
-        dur = v;
-        tid = 0;
-        flow = 0;
-        args = [];
-        num_args = [];
-      }
+  let put (name, v) (_, moved) =
+    if moved <> 0.0 then
+      Sink.record s.sink
+        {
+          ph = 'C';
+          cat = "metrics";
+          name;
+          ts = now;
+          dur = v;
+          tid = 0;
+          flow = 0;
+          args = [];
+          num_args = [];
+        }
   in
-  List.iter put (Metrics.counters s.metrics);
-  List.iter put (Metrics.gauges s.metrics)
+  let m = Engine.metrics s.eng in
+  let counters = Metrics.counters m and gauges = Metrics.gauges m in
+  List.iter2 put counters (Metrics.diff s.sampled_counters counters);
+  List.iter2 put gauges (Metrics.diff s.sampled_gauges gauges);
+  s.sampled_counters <- counters;
+  s.sampled_gauges <- gauges
 
 (* Piggybacks on trace-recording and engine-hook call sites rather than a
    dedicated fiber: a sampler fiber would occupy cores and perturb FIFO
@@ -185,6 +190,9 @@ let span_num_args s ~fid num_args =
 
 let causal t = match t.state with Some s -> s.causal | None -> false
 
+let drops eng = Metrics.counter (Engine.metrics eng) "trace.drops"
+let drops_detached () = Metrics.counter (Metrics.create ()) "trace.drops"
+
 let create ?ring_capacity ?(sample_interval = 10_000.0) ?(causal = false) eng =
   (* Causal mode records two flow events per handoff on top of the spans,
      so its default ring is deep enough for the smoke figures to export
@@ -196,14 +204,15 @@ let create ?ring_capacity ?(sample_interval = 10_000.0) ?(causal = false) eng =
     {
       eng;
       record = true;
-      sink = Sink.create ~capacity:ring_capacity;
-      metrics = Metrics.create ();
+      sink = Sink.create ~capacity:ring_capacity ~dropped:(drops eng);
       stacks = Hashtbl.create 64;
       names = Hashtbl.create 64;
       profile = Hashtbl.create 64;
       profile_order = [];
       sample_interval;
       next_sample = Engine.now eng +. sample_interval;
+      sampled_counters = [];
+      sampled_gauges = [];
       causal;
       ctxs = Hashtbl.create 64;
       next_ctx = 1;
@@ -240,11 +249,11 @@ let create ?ring_capacity ?(sample_interval = 10_000.0) ?(causal = false) eng =
     };
   { state = Some s }
 
-(* Always-on telemetry attachment: [enabled] is true — so every
-   component's instruments register in a live registry and update on the
-   hot path — but nothing is recorded into the ring, no engine hooks are
-   installed, and the CPU profile stays empty.  Rollups pull the live
-   registry; the host cost is just the metric updates. *)
+(* Always-on telemetry attachment: [enabled] is true — so components
+   also fill their tracer-gated histograms and gauges in the engine's
+   registry — but nothing is recorded into the ring, no engine hooks are
+   installed, and the CPU profile stays empty.  The host cost is just
+   the metric updates. *)
 let metrics_only eng =
   {
     state =
@@ -252,14 +261,16 @@ let metrics_only eng =
         {
           eng;
           record = false;
-          sink = Sink.create ~capacity:1;
-          metrics = Metrics.create ();
+          (* never written: a placeholder ring with a detached drop count *)
+          sink = Sink.create ~capacity:1 ~dropped:(drops_detached ());
           stacks = Hashtbl.create 1;
           names = Hashtbl.create 1;
           profile = Hashtbl.create 1;
           profile_order = [];
           sample_interval = 0.0;
           next_sample = 0.0;
+          sampled_counters = [];
+          sampled_gauges = [];
           causal = false;
           ctxs = Hashtbl.create 1;
           next_ctx = 1;
@@ -444,7 +455,7 @@ let export t buf =
   match t.state with
   | None -> Buffer.add_string buf "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}"
   | Some s ->
-      (* Close the timeseries so the last window is visible. *)
+      (* Record the moves of the last, partial interval. *)
       if s.sample_interval > 0.0 then sample s ~now:(Engine.now s.eng);
       Buffer.add_string buf "{\"traceEvents\":[";
       let first = ref true in

@@ -23,9 +23,12 @@ val create :
     (displacing any previously installed hooks), so at most one tracer
     should be attached per engine.  [ring_capacity] (default 262144;
     4194304 in causal mode, which records a multiple of the events)
-    bounds retained events, oldest dropped first;
+    bounds retained events, oldest dropped first, and counts drops in
+    the engine registry's ["trace.drops"] counter;
     [sample_interval] (default 10000.0 virtual microseconds) is the
-    counter/gauge sampling period, [0.0] disables the timeseries.
+    period at which the registry's counters and gauges are sampled —
+    each sample records the instruments whose value moved — and [0.0]
+    disables the timeseries.
 
     [causal] (default [false]) additionally records causal edges — flow
     events pairing every asynchronous handoff's source and destination —
@@ -33,20 +36,20 @@ val create :
     {!Causal} and DESIGN.md §4.10. *)
 
 val metrics_only : Wafl_sim.Engine.t -> t
-(** Always-on telemetry attachment: {!enabled} is true, so component
-    instrumentation registers and updates in a live {!Metrics} registry,
-    but no spans are recorded, no engine hooks are installed, and the CPU
-    profile stays empty.  The cheap substrate for {!Rollup} when no full
-    tracer is attached. *)
+(** Always-on telemetry attachment: {!enabled} is true, so components
+    record their gated instruments (histograms, gauges) in the engine's
+    registry, but no spans are recorded, no engine hooks are installed,
+    and the CPU profile stays empty.  The cheap substrate for {!Rollup}
+    when no full tracer is attached. *)
 
 val enabled : t -> bool
 val causal : t -> bool
 val engine : t -> Wafl_sim.Engine.t option
 
 val metrics : t -> Metrics.t
-(** The tracer's metrics registry.  On a disabled tracer this returns a
-    shared throwaway registry, so instrumentation may register and update
-    instruments unconditionally. *)
+(** The attached engine's registry ({!Wafl_sim.Engine.metrics}).  A
+    disabled tracer has no engine: it returns a fresh, detached registry
+    that no component writes to. *)
 
 (** {1 Recording} *)
 

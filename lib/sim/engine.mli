@@ -39,6 +39,13 @@ val create : ?quantum:float -> ?sanitize:bool -> cores:int -> unit -> t
     one; with [sanitize:false] every probe is a single branch. *)
 
 val cores : t -> int
+
+val metrics : t -> Metrics.t
+(** The run's metrics registry: created with the engine and live whether
+    or not a tracer is attached.  Every component built on this engine
+    counts its statistics here, once; results, rollups and reports read
+    it.  Observe-only: no simulation decision reads it. *)
+
 val now : t -> float
 (** Current virtual time in microseconds. *)
 

@@ -24,15 +24,15 @@ type 'b t = {
   m_wait : Wafl_obs.Metrics.histo;
   m_ios : Wafl_obs.Metrics.counter;
   m_blocks : Wafl_obs.Metrics.counter;
+  m_full : Wafl_obs.Metrics.counter;
+  m_partial : Wafl_obs.Metrics.counter;
+  m_rebuilt : Wafl_obs.Metrics.counter;
+  g_degraded : Wafl_obs.Metrics.gauge; (* groups degraded, engine-wide *)
   data_width : int;
   queue_depth : int;
   queue : 'b request Sync.Channel.t;
   done_q : Sync.Waitq.t;
   mutable outstanding : int;
-  mutable ios : int;
-  mutable blocks : int;
-  mutable full : int;
-  mutable partial : int;
   mutable busy : float;
   (* fault surface *)
   mutable degraded : bool;
@@ -74,6 +74,10 @@ let lpn_of t vbn =
   let geom = Disk.geometry t.disk in
   (Geometry.drive_of geom vbn * Geometry.drive_blocks geom) + Geometry.dbn_of geom vbn
 
+let set_degraded t d =
+  if d <> t.degraded then Wafl_obs.Metrics.shift t.g_degraded (if d then 1.0 else -1.0);
+  t.degraded <- d
+
 (* Reconstruct the lost drive onto a spare, one stripe block at a time.
    Progress lives in the fault plan (it survives a crash; a re-created
    group resumes where the old fiber stopped), and the device-busy cost
@@ -88,10 +92,11 @@ let rebuild_fiber t fault (failure : Fault.disk_failure) () =
     t.busy <- t.busy +. t.cost.Cost.rebuild_block;
     failure.Fault.rebuilt_to <- failure.Fault.rebuilt_to + 1;
     t.rebuilt <- t.rebuilt + 1;
+    Wafl_obs.Metrics.incr t.m_rebuilt;
     Fault.note_rebuild_block fault
   done;
   failure.Fault.rebuild_done <- true;
-  t.degraded <- false
+  set_degraded t false
 
 let active_failure t =
   match Disk.fault t.disk with
@@ -105,7 +110,7 @@ let check_failure t =
     match active_failure t with
     | None -> ()
     | Some failure ->
-        t.degraded <- true;
+        set_degraded t true;
         if not t.rebuild_spawned then begin
           t.rebuild_spawned <- true;
           let fault = Option.get (Disk.fault t.disk) in
@@ -159,8 +164,6 @@ let service_fiber t () =
         let t0 = Engine.now t.eng in
         Engine.sleep service;
         Wafl_obs.Metrics.observe t.m_service service;
-        Wafl_obs.Metrics.incr t.m_ios;
-        Wafl_obs.Metrics.add t.m_blocks nblocks;
         if t.obs_on then
           Wafl_obs.Trace.complete t.obs ~cat:"raid" ~name:"raid io" ~ts:t0 ~dur:service
             ~num_args:
@@ -198,10 +201,10 @@ let service_fiber t () =
         (match t.flash with
         | None -> ()
         | Some ftl -> Wafl_flash.Ftl.host_write ftl (List.rev !programs));
-        t.ios <- t.ios + 1;
-        t.blocks <- t.blocks + nblocks;
-        t.full <- t.full + full;
-        t.partial <- t.partial + partial;
+        Wafl_obs.Metrics.incr t.m_ios;
+        Wafl_obs.Metrics.add t.m_blocks nblocks;
+        Wafl_obs.Metrics.add t.m_full full;
+        Wafl_obs.Metrics.add t.m_partial partial;
         t.busy <- t.busy +. service;
         on_complete ();
         (* Service fibers are reused across unrelated requests: deactivate
@@ -215,7 +218,7 @@ let service_fiber t () =
 
 let create ?(queue_depth = 4) ?(obs = Wafl_obs.Trace.disabled) ?flash eng ~cost ~disk ~rg =
   if queue_depth <= 0 then invalid_arg "Raid.create: queue_depth must be positive";
-  let m = Wafl_obs.Trace.metrics obs in
+  let m = Engine.metrics eng in
   let t =
     {
       eng;
@@ -231,15 +234,15 @@ let create ?(queue_depth = 4) ?(obs = Wafl_obs.Trace.disabled) ?flash eng ~cost 
       m_wait = Wafl_obs.Metrics.histogram m "raid.io_wait_us";
       m_ios = Wafl_obs.Metrics.counter m "raid.ios";
       m_blocks = Wafl_obs.Metrics.counter m "raid.blocks";
+      m_full = Wafl_obs.Metrics.counter m "raid.full_stripes";
+      m_partial = Wafl_obs.Metrics.counter m "raid.partial_stripes";
+      m_rebuilt = Wafl_obs.Metrics.counter m "rebuild.blocks";
+      g_degraded = Wafl_obs.Metrics.gauge m "rebuild.active";
       data_width = Geometry.data_drives (Disk.geometry disk) ~rg;
       queue_depth;
       queue = Sync.Channel.create eng;
       done_q = Sync.Waitq.create eng;
       outstanding = 0;
-      ios = 0;
-      blocks = 0;
-      full = 0;
-      partial = 0;
       busy = 0.0;
       degraded = false;
       rebuild_spawned = false;
@@ -365,10 +368,6 @@ let take_failed t =
   List.rev failed
 
 let degraded t = t.degraded
-let ios_completed t = t.ios
-let blocks_written t = t.blocks
-let full_stripes t = t.full
-let partial_stripes t = t.partial
 let device_busy t = t.busy
 let transient_retries t = t.retries
 let degraded_reads t = t.degraded_reads_served

@@ -32,8 +32,8 @@ val create :
   'b t
 (** Spawns [queue_depth] (default 4) service fibers labelled ["io"].
     [obs] (default disabled) records a ["raid io"] span per serviced I/O
-    with stripe mix args, plus service-time histogram and I/O counters
-    under the ["raid."] metric prefix.  [flash] (default none) attaches an
+    with stripe mix args, plus service- and wait-time histograms; the
+    I/O counters below are counted either way.  [flash] (default none) attaches an
     FTL media model: durable writes additionally program NAND pages —
     charging program time and GC-induced stalls to the I/O before its
     completion is signalled — and freed blocks should be {!trim}med. *)
@@ -92,10 +92,12 @@ val take_failed : 'b t -> (Geometry.vbn * 'b) list
 val degraded : 'b t -> bool
 (** A drive of this group is lost and not yet fully rebuilt. *)
 
-val ios_completed : 'b t -> int
-val blocks_written : 'b t -> int
-val full_stripes : 'b t -> int
-val partial_stripes : 'b t -> int
+(** Completed I/Os, blocks written and full/partial stripes are counted
+    in the engine's registry as ["raid.ios"], ["raid.blocks"],
+    ["raid.full_stripes"] and ["raid.partial_stripes"]; rebuilt blocks
+    also as ["rebuild.blocks"], and the number of degraded groups is the
+    ["rebuild.active"] gauge. *)
+
 val device_busy : 'b t -> float
 (** Total device service time consumed, in virtual µs (includes retry
     backoff and rebuild work). *)

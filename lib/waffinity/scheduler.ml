@@ -57,7 +57,6 @@ type t = {
   mutable next_seq : int;
   mutable pending_count : int;
   mutable executing : int;
-  mutable executed : int;
   by_kind_tbl : (string, int ref) Hashtbl.t;
   mutable by_kind : (string * int ref) list; (* same refs, kind-sorted *)
   mutable wait_time : float;
@@ -92,7 +91,7 @@ let dummy_node =
 let create ?workers ?isolation ?(obs = Wafl_obs.Trace.disabled) eng ~cost () =
   let workers = match workers with Some w -> w | None -> Engine.cores eng in
   if workers <= 0 then invalid_arg "Scheduler.create: workers must be positive";
-  let m = Wafl_obs.Trace.metrics obs in
+  let m = Engine.metrics eng in
   {
     eng;
     cost;
@@ -107,7 +106,6 @@ let create ?workers ?isolation ?(obs = Wafl_obs.Trace.disabled) eng ~cost () =
     next_seq = 0;
     pending_count = 0;
     executing = 0;
-    executed = 0;
     by_kind_tbl = Hashtbl.create 16;
     by_kind = [];
     wait_time = 0.0;
@@ -186,7 +184,7 @@ let wait_histo t n =
   | Some h -> h
   | None ->
       let h =
-        Wafl_obs.Metrics.histogram (Wafl_obs.Trace.metrics t.obs) ("sched.wait_us." ^ n.kind)
+        Wafl_obs.Metrics.histogram (Engine.metrics t.eng) ("sched.wait_us." ^ n.kind)
       in
       n.wait_h <- Some h;
       h
@@ -196,7 +194,7 @@ let service_histo t n =
   | Some h -> h
   | None ->
       let h =
-        Wafl_obs.Metrics.histogram (Wafl_obs.Trace.metrics t.obs) ("sched.service_us." ^ n.kind)
+        Wafl_obs.Metrics.histogram (Engine.metrics t.eng) ("sched.service_us." ^ n.kind)
       in
       n.service_h <- Some h;
       h
@@ -318,12 +316,9 @@ let exec t n m =
   | Some iso -> Isolation.exit iso ~fid:(Engine.current_fid t.eng)
   | None -> ());
   release n;
-  if t.obs_on then begin
-    Wafl_obs.Metrics.observe (service_histo t n) (Engine.now t.eng -. t0);
-    Wafl_obs.Metrics.incr t.m_msgs
-  end;
+  if t.obs_on then Wafl_obs.Metrics.observe (service_histo t n) (Engine.now t.eng -. t0);
+  Wafl_obs.Metrics.incr t.m_msgs;
   t.executing <- t.executing - 1;
-  t.executed <- t.executed + 1;
   if t.obs_on then Wafl_obs.Metrics.set t.g_executing (float_of_int t.executing);
   count_kind t n
 
@@ -443,7 +438,7 @@ let drain t =
 
 let queued t = t.pending_count
 let executing t = t.executing
-let executed_total t = t.executed
+let executed_total t = int_of_float (Wafl_obs.Metrics.value t.m_msgs)
 
 (* [by_kind] is maintained kind-sorted at insertion; no hash-order walk,
    no re-sort per call. *)

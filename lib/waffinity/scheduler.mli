@@ -31,7 +31,8 @@ val create :
     disabled) wraps each message body in a ["msg <kind>"] span and
     records queue-wait and service-time histograms per affinity kind
     (["sched.wait_us.<kind>"], ["sched.service_us.<kind>"]) plus queue
-    depth gauges. *)
+    depth gauges; completed messages count as ["sched.messages"] in the
+    engine's registry either way. *)
 
 val isolation : t -> Isolation.t option
 
@@ -58,6 +59,9 @@ val drain : t -> unit
 val queued : t -> int
 val executing : t -> int
 val executed_total : t -> int
+(** Completed messages: the engine registry's ["sched.messages"]
+    counter (one scheduler per engine). *)
+
 val executed_by_kind : t -> (string * int) list
 (** Completed-message counts per affinity kind, sorted by kind name. *)
 

@@ -262,61 +262,45 @@ type server = {
   telem : (Wafl_obs.Rollup.t * Wafl_obs.Health.t) option;
 }
 
-(* Fleet telemetry: register cumulative sources over the existing
-   counters and metrics; windows seal lazily from the per-op feeds, so
-   no fiber is spawned and the run stays bit-identical. *)
-let attach_telemetry tcfg eng ~user_obs ~obs agg cp =
-  let roll = Wafl_obs.Rollup.create ~config:tcfg.rollup eng in
-  let health = Wafl_obs.Health.create ~rules:tcfg.rules roll in
-  let m = Wafl_obs.Trace.metrics obs in
-  let ctrs = Aggregate.counters agg in
-  Wafl_obs.Rollup.add_source roll ~name:"cp.count" (fun () ->
-      float_of_int (Wafl_core.Cp.cps_completed cp));
-  Wafl_obs.Rollup.add_source roll ~name:"cp.b2b" (fun () ->
-      float_of_int (Counters.read ctrs "b2b_cps"));
-  Wafl_obs.Rollup.add_source roll ~name:"nvlog.stall_us" (fun () -> Aggregate.stall_time agg);
-  Wafl_obs.Rollup.add_source roll ~name:"nvlog.hard_dwell_us" (fun () ->
-      Aggregate.hard_dwell_time agg);
-  Wafl_obs.Rollup.add_source roll ~name:"flash.gc_stall_us" (fun () ->
-      List.fold_left
-        (fun acc ftl -> acc +. Wafl_flash.Ftl.gc_stall_us ftl)
-        0.0 (Aggregate.ftls agg));
-  Wafl_obs.Rollup.add_source roll ~name:"rebuild.blocks" (fun () ->
-      float_of_int
-        (Array.fold_left
-           (fun acc r -> acc + Wafl_storage.Raid.rebuild_blocks r)
-           0 (Aggregate.raid_groups agg)));
-  Wafl_obs.Rollup.add_source roll ~name:"qos.shed_ops" (fun () ->
-      Wafl_obs.Metrics.counter_value m "qos.shed_ops");
-  (* Ring drops only exist on a user-attached tracer; the internal
-     metrics-only tracer records nothing. *)
-  if Wafl_obs.Trace.enabled user_obs then
-    Wafl_obs.Rollup.add_source roll ~name:"trace.drops" (fun () ->
-        float_of_int (Wafl_obs.Trace.dropped user_obs));
-  Wafl_obs.Rollup.add_gauge roll ~name:"rebuild.active" (fun () ->
-      float_of_int
-        (Array.fold_left
-           (fun acc r -> acc + if Wafl_storage.Raid.degraded r then 1 else 0)
-           0 (Aggregate.raid_groups agg)));
-  List.iter
-    (fun name -> Wafl_obs.Rollup.add_hsource roll ~name (fun () -> Wafl_obs.Metrics.histo m name))
-    [
-      "op.e2e_us.write";
-      "qos.queue_wait_us";
-      "cp.duration_us";
-      "cp.phase_us.cleaning";
-      "cp.phase_us.flush";
-      "cp.phase_us.metafiles";
-      "cp.phase_us.io-flush";
-    ];
-  (roll, health)
+(* Fleet telemetry: windows of registry counters, gauges and sketches;
+   windows seal lazily from the per-op feeds, so no fiber is spawned and
+   the run stays bit-identical.  Ring drops exist only on a user-attached
+   tracer. *)
+let attach_telemetry tcfg eng ~user_obs =
+  let roll =
+    Wafl_obs.Rollup.create ~config:tcfg.rollup
+      ~counters:
+        ([
+           "cp.count";
+           "cp.b2b";
+           "nvlog.stall_us";
+           "nvlog.hard_dwell_us";
+           "flash.gc_stall_us";
+           "rebuild.blocks";
+           "qos.shed_ops";
+         ]
+        @ if Wafl_obs.Trace.enabled user_obs then [ "trace.drops" ] else [])
+      ~gauges:[ "rebuild.active" ]
+      ~sketches:
+        [
+          "op.e2e_us.write";
+          "qos.queue_wait_us";
+          "cp.duration_us";
+          "cp.phase_us.cleaning";
+          "cp.phase_us.flush";
+          "cp.phase_us.metafiles";
+          "cp.phase_us.io-flush";
+        ]
+      eng
+  in
+  (roll, Wafl_obs.Health.create ~rules:tcfg.rules roll)
 
 let build_server spec =
   let eng = Engine.create ~cores:spec.cores ~sanitize:spec.sanitize () in
   let user_obs = spec.obs eng in
-  (* Telemetry needs a live metrics registry; when no full tracer is
-     attached, the metrics-only tracer provides one without recording
-     spans or installing engine hooks. *)
+  (* Telemetry sketches need the histograms that only an enabled tracer
+     fills; when no full tracer is attached, the metrics-only tracer
+     enables them without recording spans or installing engine hooks. *)
   let obs =
     if Wafl_obs.Trace.enabled user_obs || spec.telemetry = None then user_obs
     else Wafl_obs.Trace.metrics_only eng
@@ -328,9 +312,7 @@ let build_server spec =
   in
   let walloc = Wafl_core.Walloc.create ~obs agg spec.cfg in
   let cp = Wafl_core.Walloc.cp walloc in
-  let telem =
-    Option.map (fun tcfg -> attach_telemetry tcfg eng ~user_obs ~obs agg cp) spec.telemetry
-  in
+  let telem = Option.map (fun tcfg -> attach_telemetry tcfg eng ~user_obs) spec.telemetry in
   {
     eng;
     obs;
@@ -423,10 +405,10 @@ let make_exec_op spec srv =
   let { eng; obs; agg; cp; telem; _ } = srv in
   let sched = Wafl_core.Walloc.scheduler srv.walloc in
   (* End-to-end latency decomposition (DESIGN.md §4.10): per-op-kind
-     histograms plus the time writes spend throttled behind CP progress.
-     On a disabled tracer these land in a throwaway registry. *)
+     histograms plus the time writes spend throttled behind CP progress,
+     observed only under an enabled tracer. *)
   let obs_on = Wafl_obs.Trace.enabled obs in
-  let m = Wafl_obs.Trace.metrics obs in
+  let m = Engine.metrics eng in
   let h_e2e_read = Wafl_obs.Metrics.histogram m "op.e2e_us.read" in
   let h_e2e_write = Wafl_obs.Metrics.histogram m "op.e2e_us.write" in
   let h_e2e_meta = Wafl_obs.Metrics.histogram m "op.e2e_us.meta" in
@@ -656,58 +638,12 @@ let open_loop spec srv ol ~cfs ~rng:master_rng ~rec_ ~stop ~tstats ~qos_meters e
 
 (* --- measure ------------------------------------------------------------- *)
 
-(* Cumulative counters, sampled at the start and the end of the window;
-   a result reports their difference. *)
-type sample = {
-  s_cps : int;
-  s_buffers : int;
-  s_allocated : int;
-  s_freed : int;
-  s_touched : int;
-  s_imsgs : int;
-  s_cmsgs : int;
-  s_waits : int;
-  s_full : int;
-  s_partial : int;
-  s_stall : float;
-  s_fhost : int;
-  s_fgc : int;
-  s_ferase : int;
-  s_fstall : float;
-  s_b2b : int;
-  s_b2b_ep : int;
-  s_exhausted : int;
-}
-
-let sample srv =
-  let { agg; cp; infra; pool; _ } = srv in
-  let stripes_of f = Array.fold_left (fun acc r -> acc + f r) 0 (Aggregate.raid_groups agg) in
-  let ftls = Aggregate.ftls agg in
-  let flash_sum f = List.fold_left (fun acc ftl -> acc + f ftl) 0 ftls in
-  let ctrs = Aggregate.counters agg in
-  {
-    s_cps = Wafl_core.Cp.cps_completed cp;
-    s_buffers = Wafl_core.Cleaner_pool.buffers_cleaned pool;
-    s_allocated = Wafl_core.Infra.vbns_allocated infra;
-    s_freed = Wafl_core.Infra.vbns_freed infra;
-    s_touched = Wafl_core.Infra.metafile_blocks_touched infra;
-    s_imsgs = Wafl_core.Infra.messages_posted infra;
-    s_cmsgs = Wafl_core.Cleaner_pool.messages_processed pool;
-    s_waits = Wafl_core.Cleaner_pool.get_waits pool;
-    s_full = stripes_of Wafl_storage.Raid.full_stripes;
-    s_partial = stripes_of Wafl_storage.Raid.partial_stripes;
-    s_stall = Aggregate.stall_time agg;
-    s_fhost = flash_sum Wafl_flash.Ftl.host_pages;
-    s_fgc = flash_sum Wafl_flash.Ftl.gc_pages;
-    s_ferase = flash_sum Wafl_flash.Ftl.erases;
-    s_fstall = List.fold_left (fun acc ftl -> acc +. Wafl_flash.Ftl.gc_stall_us ftl) 0.0 ftls;
-    s_b2b = Counters.read ctrs "b2b_cps";
-    s_b2b_ep = Counters.read ctrs "b2b_episodes";
-    s_exhausted = Counters.read ctrs "nvlog_exhausted_writes";
-  }
-
-let result_of spec srv ~cfs ~rec_ ~tstats ~active_samples ~active_sum ~duration s0 s1 =
+(* [deltas]: the registry's counters over the measure window, the
+   difference of name-sorted snapshots taken as it opens and closes. *)
+let result_of spec srv ~cfs ~rec_ ~tstats ~active_samples ~active_sum ~duration deltas =
   let eng = srv.eng and pool = srv.pool in
+  let get name = Option.value (List.assoc_opt name deltas) ~default:0.0 in
+  let n name = int_of_float (get name) in
   {
     ops = rec_.ops;
     duration;
@@ -727,19 +663,19 @@ let result_of spec srv ~cfs ~rec_ ~tstats ~active_samples ~active_sum ~duration 
       Engine.cores_used eng "io" +. Engine.cores_used eng "other"
       +. Engine.cores_used eng "sampler" +. Engine.cores_used eng "tuner";
     utilization = Engine.utilization eng;
-    cps_completed = s1.s_cps - s0.s_cps;
-    buffers_cleaned = s1.s_buffers - s0.s_buffers;
-    vbns_allocated = s1.s_allocated - s0.s_allocated;
-    vbns_freed = s1.s_freed - s0.s_freed;
-    metafile_blocks_touched = s1.s_touched - s0.s_touched;
-    infra_messages = s1.s_imsgs - s0.s_imsgs;
-    cleaner_messages = s1.s_cmsgs - s0.s_cmsgs;
-    get_waits = s1.s_waits - s0.s_waits;
+    cps_completed = n "cp.count";
+    buffers_cleaned = n "cleaner.buffers_cleaned";
+    vbns_allocated = n "infra.vbns_allocated";
+    vbns_freed = n "infra.vbns_freed";
+    metafile_blocks_touched = n "infra.metafile_blocks_touched";
+    infra_messages = n "infra.messages";
+    cleaner_messages = n "cleaner.work_msgs";
+    get_waits = n "cleaner.get_waits";
     avg_active_cleaners =
       (if active_samples = 0 then float_of_int (Wafl_core.Cleaner_pool.active pool)
        else float_of_int active_sum /. float_of_int active_samples);
-    full_stripes = s1.s_full - s0.s_full;
-    partial_stripes = s1.s_partial - s0.s_partial;
+    full_stripes = n "raid.full_stripes";
+    partial_stripes = n "raid.partial_stripes";
     read_contiguity =
       (let total = ref 0.0 and n = ref 0 in
        Array.iter
@@ -756,10 +692,10 @@ let result_of spec srv ~cfs ~rec_ ~tstats ~active_samples ~active_sum ~duration 
        else Array.fold_left (fun a st -> a + st.a_offered) 0 tstats);
     shed_ops = Array.fold_left (fun a st -> a + st.a_shed) 0 tstats;
     throttled_ops = Array.fold_left (fun a st -> a + st.a_throttled) 0 tstats;
-    stall_us = s1.s_stall -. s0.s_stall;
-    b2b_cps = s1.s_b2b - s0.s_b2b;
-    b2b_episodes = s1.s_b2b_ep - s0.s_b2b_ep;
-    nvlog_exhausted = s1.s_exhausted - s0.s_exhausted;
+    stall_us = get "nvlog.stall_us";
+    b2b_cps = n "cp.b2b";
+    b2b_episodes = n "cp.b2b_episodes";
+    nvlog_exhausted = n "nvlog.exhausted_writes";
     tenants =
       (match spec.open_loop with
       | None -> [||]
@@ -778,14 +714,14 @@ let result_of spec srv ~cfs ~rec_ ~tstats ~active_samples ~active_sum ~duration 
               })
             tstats);
     races = Engine.race_report_count eng;
-    flash_host_pages = s1.s_fhost - s0.s_fhost;
-    flash_gc_pages = s1.s_fgc - s0.s_fgc;
-    flash_erases = s1.s_ferase - s0.s_ferase;
-    flash_gc_stall_us = s1.s_fstall -. s0.s_fstall;
+    flash_host_pages = n "flash.host_pages";
+    flash_gc_pages = n "flash.gc_pages";
+    flash_erases = n "flash.erases";
+    flash_gc_stall_us = get "flash.gc_stall_us";
     waf =
-      (let host = s1.s_fhost - s0.s_fhost in
-       let gc = s1.s_fgc - s0.s_fgc in
-       if host = 0 then 1.0 else float_of_int (host + gc) /. float_of_int host);
+      (let host = n "flash.host_pages" in
+       if host = 0 then 1.0
+       else float_of_int (host + n "flash.gc_pages") /. float_of_int host);
     telemetry =
       Option.map
         (fun (roll, health) ->
@@ -823,7 +759,7 @@ let run spec =
   let exec_op = make_exec_op spec srv in
   (* QoS admission meters; registered on every run so the registry (and
      a trace's counter samples) look the same with or without tenants. *)
-  let m = Wafl_obs.Trace.metrics srv.obs in
+  let m = Engine.metrics eng in
   let qos_meters =
     ( Wafl_obs.Metrics.histogram m "qos.queue_wait_us",
       Wafl_obs.Metrics.counter m "qos.admitted_ops",
@@ -862,13 +798,14 @@ let run spec =
   Engine.run ~until:(Engine.now eng +. spec.warmup) eng;
   Engine.reset_accounting eng;
   rec_.recording <- true;
-  let s0 = sample srv in
+  let c0 = Metrics.counters (Engine.metrics eng) in
   let t0 = Engine.now eng in
   Engine.run ~until:(t0 +. spec.measure) eng;
   rec_.recording <- false;
   let result =
     result_of spec srv ~cfs ~rec_ ~tstats ~active_samples:!active_samples
-      ~active_sum:!active_sum ~duration:(Engine.now eng -. t0) s0 (sample srv)
+      ~active_sum:!active_sum ~duration:(Engine.now eng -. t0)
+      (Metrics.diff c0 (Metrics.counters (Engine.metrics eng)))
   in
   stop := true;
   result

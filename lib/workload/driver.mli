@@ -90,7 +90,7 @@ type spec = {
       (** attach fleet telemetry; [None] (default) is bit-identical to
           the pre-telemetry driver.  When set and no full tracer is
           attached, the run uses {!Wafl_obs.Trace.metrics_only} so the
-          rollup can pull live metric histograms. *)
+          tracer-gated histograms the rollup sketches are filled. *)
   chaos : Wafl_fs.Aggregate.chaos;
       (** test-only fault hooks for this run's aggregate; default
           {!Wafl_fs.Aggregate.no_chaos}.  Per run, so a chaos run never
@@ -142,6 +142,8 @@ type result = {
   cores_cp : float;
   cores_io_other : float;
   utilization : float;
+  (* The counts below, from [cps_completed] to [waf], are the measure
+     window's deltas of the engine registry's counters (see {!run}). *)
   cps_completed : int;
   buffers_cleaned : int;
   vbns_allocated : int;
@@ -195,7 +197,9 @@ val cores_write_alloc : result -> float
 val run : spec -> result
 (** Build, populate (each client's files are written once and flushed by
     a CP so that steady-state writes are overwrites), warm up, measure.
-    Deterministic for a given spec. *)
+    The window's counts are the difference of two snapshots of the
+    engine's registry ({!Wafl_sim.Engine.metrics}), taken as the window
+    opens and closes.  Deterministic for a given spec. *)
 
 val paper_geometry : unit -> Wafl_storage.Geometry.t
 (** 2 RAID groups x (10 data + 2 parity), 262144 blocks per drive —

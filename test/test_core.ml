@@ -6,6 +6,9 @@ open Wafl_fs
 module Geometry = Wafl_storage.Geometry
 open Wafl_core
 
+(* A counter of [eng]'s metrics registry. *)
+let stat eng name = int_of_float (Metrics.counter_value (Engine.metrics eng) name)
+
 (* --- Bucket --- *)
 
 let phys_target = Bucket.Phys { rg = 0; drive = 0 }
@@ -262,8 +265,8 @@ let test_pool_cleans_and_is_idempotent_on_wait () =
       Cleaner_pool.wait_idle pool;
       Cleaner_pool.wait_idle pool;
       (* second wait returns immediately *)
-      Alcotest.(check int) "ten buffers cleaned" 10 (Cleaner_pool.buffers_cleaned pool);
-      Alcotest.(check int) "one inode" 1 (Cleaner_pool.inodes_cleaned pool);
+      Alcotest.(check int) "ten buffers cleaned" 10 (stat (Cleaner_pool.engine pool) "cleaner.buffers_cleaned");
+      Alcotest.(check int) "one inode" 1 (stat (Cleaner_pool.engine pool) "cleaner.inodes_cleaned");
       (* Every cleaned fbn now has a vvbn and a container mapping. *)
       for fbn = 0 to 9 do
         let vvbn = File.vvbn_of_fbn f fbn in
@@ -381,7 +384,7 @@ let test_cp_batching_reduces_messages () =
                ~content:1L)
         done;
         Cp.run_now (Walloc.cp st.walloc));
-    Cleaner_pool.messages_processed pool
+    stat (Cleaner_pool.engine pool) "cleaner.work_msgs"
   in
   let batched = messages_with true and unbatched = messages_with false in
   Alcotest.(check bool)
@@ -403,9 +406,9 @@ let test_cp_segments_large_inode () =
       done;
       Cp.run_now (Walloc.cp st.walloc));
   (* 450 buffers / 100 per segment = 5 messages for one inode. *)
-  Alcotest.(check int) "five segments" 5 (Cleaner_pool.messages_processed pool);
-  Alcotest.(check int) "inode counted once" 1 (Cleaner_pool.inodes_cleaned pool);
-  Alcotest.(check int) "all buffers cleaned" 450 (Cleaner_pool.buffers_cleaned pool);
+  Alcotest.(check int) "five segments" 5 (stat (Cleaner_pool.engine pool) "cleaner.work_msgs");
+  Alcotest.(check int) "inode counted once" 1 (stat (Cleaner_pool.engine pool) "cleaner.inodes_cleaned");
+  Alcotest.(check int) "all buffers cleaned" 450 (stat (Cleaner_pool.engine pool) "cleaner.buffers_cleaned");
   Aggregate.fsck st.agg
 
 (* --- Allocation-free hot primitives --- *)

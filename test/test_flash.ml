@@ -6,6 +6,9 @@
 open Wafl_flash
 open Wafl_sim
 
+(* A counter of [eng]'s metrics registry. *)
+let stat eng name = int_of_float (Metrics.counter_value (Engine.metrics eng) name)
+
 let cfg0 =
   { Ftl.default_config with Ftl.pages_per_block = 16; op_ratio = 0.25; prefill = 0.0; seed = 7 }
 
@@ -79,7 +82,7 @@ let test_stream_clamping () =
 (* --- overwrite, trim, GC ------------------------------------------------ *)
 
 let test_overwrite_and_trim () =
-  let t =
+  let eng, t =
     in_fiber (fun eng ->
         let t = Ftl.create eng ~cfg:cfg0 ~lpns:64 ~rg:0 in
         Ftl.host_write t [ (5, 0) ];
@@ -88,12 +91,12 @@ let test_overwrite_and_trim () =
         Ftl.trim t ~lpn:9;
         (* unmapped: no-op *)
         Ftl.trim t ~lpn:5;
-        t)
+        (eng, t))
   in
   Alcotest.(check int) "trimmed page unmapped" (-1) (Ftl.block_of_lpn t 5);
   Alcotest.(check int) "nothing valid" 0 (Ftl.valid_pages t);
   Alcotest.(check int) "one effective trim" 1 (Ftl.trims t);
-  Alcotest.(check int) "two host pages" 2 (Ftl.host_pages t)
+  Alcotest.(check int) "two host pages" 2 (stat eng "flash.host_pages")
 
 let churn t spins lpns =
   let rng = Wafl_util.Rng.create ~seed:42 in
@@ -104,16 +107,16 @@ let churn t spins lpns =
 let test_gc_reclaims () =
   let cfg = { cfg0 with Ftl.prefill = 0.9 } in
   let lpns = 1024 in
-  let t =
+  let eng, t =
     in_fiber (fun eng ->
         let t = Ftl.create eng ~cfg ~lpns ~rg:0 in
         (* Overwrite churn across a nearly-full device: the GC must
            relocate live pages to reclaim erase blocks. *)
         churn t 4096 (9 * lpns / 10);
-        t)
+        (eng, t))
   in
-  Alcotest.(check bool) "gc relocated pages" true (Ftl.gc_pages t > 0);
-  Alcotest.(check bool) "erases happened" true (Ftl.erases t > 0);
+  Alcotest.(check bool) "gc relocated pages" true (stat eng "flash.gc_pages" > 0);
+  Alcotest.(check bool) "erases happened" true (stat eng "flash.erases" > 0);
   Alcotest.(check bool) "waf above 1" true (Ftl.waf t > 1.0);
   Alcotest.(check bool) "wear recorded" true (Ftl.max_wear t >= 1);
   (* Valid count must track the mapped working set exactly. *)

@@ -4,6 +4,9 @@
 open Wafl_storage
 open Wafl_sim
 
+(* A counter of [eng]'s metrics registry. *)
+let stat eng name = int_of_float (Metrics.counter_value (Engine.metrics eng) name)
+
 let geom () = Geometry.create ~drive_blocks:4096 ~aa_stripes:256 ~raid_groups:[ (4, 1); (3, 1) ] ()
 
 (* --- Geometry --- *)
@@ -134,9 +137,9 @@ let test_raid_full_vs_partial_stripes () =
       in
       submit raid ~writes ~on_complete:(fun () -> ());
       Raid.quiesce raid;
-      Alcotest.(check int) "one full stripe" 1 (Raid.full_stripes raid);
-      Alcotest.(check int) "one partial stripe" 1 (Raid.partial_stripes raid);
-      Alcotest.(check int) "five blocks" 5 (Raid.blocks_written raid);
+      Alcotest.(check int) "one full stripe" 1 (stat eng "raid.full_stripes");
+      Alcotest.(check int) "one partial stripe" 1 (stat eng "raid.partial_stripes");
+      Alcotest.(check int) "five blocks" 5 (stat eng "raid.blocks");
       Raid.shutdown raid)
 
 let test_raid_partial_pays_parity_penalty () =
@@ -194,7 +197,7 @@ let test_raid_many_ios_in_order_counts () =
           ~on_complete:(fun () -> ())
       done;
       Raid.quiesce raid;
-      Alcotest.(check int) "all IOs done" 10 (Raid.ios_completed raid);
+      Alcotest.(check int) "all IOs done" 10 (stat eng "raid.ios");
       Raid.shutdown raid)
 
 (* --- Fault injection --- *)
@@ -331,7 +334,7 @@ let test_shutdown_drains_queued_ios () =
       done;
       Raid.shutdown raid;
       Raid.quiesce raid;
-      Alcotest.(check int) "all queued IOs completed" 12 (Raid.ios_completed raid);
+      Alcotest.(check int) "all queued IOs completed" 12 (stat eng "raid.ios");
       for i = 0 to 11 do
         Alcotest.(check (option int)) "payload durable" (Some i)
           (Disk.read d (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:i))
@@ -363,7 +366,7 @@ let test_quiesce_races_concurrent_submit () =
          Engine.sleep 10.0;
          let r = Option.get !raid in
          Raid.quiesce r;
-         ios_at_quiesce := Raid.ios_completed r;
+         ios_at_quiesce := stat eng "raid.ios";
          Raid.shutdown r));
   Engine.run eng;
   Alcotest.(check int) "quiesce covered the racing submits" 3 !ios_at_quiesce

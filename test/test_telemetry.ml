@@ -204,6 +204,95 @@ let test_merge_deterministic () =
   in
   Alcotest.(check int) "merged writes sum over shards" (2 * total snap) (total m1)
 
+(* --- one registry: results, rollups and the tracer read the same counters - *)
+
+(* Open-loop overload against a small NVRAM with watermark admission:
+   back-to-back CPs and admission stalls both occur, so every compared
+   count is live.  A window seals lazily, reading the registry at the
+   first write-side call at or after its end; open-loop arrivals keep
+   calling in while ops are parked in admission, so each window closes
+   at its boundary.  (Behind a closed loop whose clients all park, a CP
+   commit that ends the stall can land in the window before.) *)
+let b2b_spec () =
+  {
+    (small_spec ~workload:(Driver.Rand_write { file_blocks = 1024 }) ~clients:3 ()) with
+    Driver.volumes = 3;
+    nvlog_half = 256;
+    watermarks = Some { Wafl_fs.Nvlog.soft = 0.5; hard = 0.9; pace = 25.0 };
+    open_loop =
+      Some
+        {
+          Driver.arrivals =
+            [
+              Arrival.Bursty
+                {
+                  base_rate = 5_000.0;
+                  burst_rate = 400_000.0;
+                  mean_on_us = 3_000.0;
+                  mean_off_us = 10_000.0;
+                };
+              Arrival.Poisson { rate = 2_000.0 };
+              Arrival.Poisson { rate = 2_000.0 };
+            ];
+          qos = None;
+        };
+  }
+
+let test_views_agree () =
+  (* Set-up ends on a 1 s run-slice boundary, so a warm-up and measure
+     window that are multiples of [window_us] put the measure window on
+     the rollup's grid: its sealed windows cover it exactly. *)
+  let window_us = 50_000.0 in
+  let spec = { (b2b_spec ()) with Driver.warmup = 2.0 *. window_us; measure = 6.0 *. window_us } in
+  let r = Driver.run (with_telemetry ~rollup:{ Rollup.default_config with Rollup.window_us } spec) in
+  let t1 = r.Driver.virtual_us in
+  let t0 = t1 -. spec.Driver.measure in
+  Alcotest.(check (float 0.0)) "measure window starts on the grid" 0.0 (Float.rem t0 window_us);
+  let windows =
+    List.filter
+      (fun w -> w.Rollup.w_start >= t0 && w.Rollup.w_end <= t1)
+      (telem r).Driver.tr_snapshot.Rollup.s_windows
+  in
+  Alcotest.(check int) "sealed windows tile the measure window" 6 (List.length windows);
+  let sum name =
+    List.fold_left (fun acc w -> acc +. List.assoc name w.Rollup.w_counters) 0.0 windows
+  in
+  let count name = int_of_float (sum name) in
+  Alcotest.(check bool) "CPs, b2b CPs and stalls all occur" true
+    (r.Driver.cps_completed > 0 && r.Driver.b2b_cps > 0 && r.Driver.stall_us > 0.0);
+  Alcotest.(check int) "cp.count windows sum to cps_completed" r.Driver.cps_completed
+    (count "cp.count");
+  Alcotest.(check int) "cp.b2b windows sum to b2b_cps" r.Driver.b2b_cps (count "cp.b2b");
+  (* Per-window float deltas telescope only up to rounding. *)
+  Alcotest.(check (float (1e-9 *. r.Driver.stall_us)))
+    "nvlog.stall_us windows sum to stall_us" r.Driver.stall_us (sum "nvlog.stall_us")
+
+let test_registry_live_untraced () =
+  (* The registry belongs to the engine: a run with the default (disabled)
+     tracer counts exactly what a metrics-only run counts. *)
+  let counters obs =
+    let eng = ref None in
+    ignore
+      (Driver.run
+         {
+           (small_spec ()) with
+           Driver.obs =
+             (fun e ->
+               eng := Some e;
+               obs e);
+         });
+    Wafl_sim.Metrics.counters (Wafl_sim.Engine.metrics (Option.get !eng))
+  in
+  let untraced = counters (fun _ -> Wafl_obs.Trace.disabled) in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " counted without a tracer") true
+        (List.assoc name untraced > 0.0))
+    [ "cp.count"; "infra.vbns_allocated"; "cleaner.buffers_cleaned"; "raid.ios"; "sched.messages" ];
+  Alcotest.(check (list (pair string (float 0.0))))
+    "same counters as under Trace.metrics_only" untraced
+    (counters Wafl_obs.Trace.metrics_only)
+
 (* --- fleet-scale memory budget ------------------------------------------- *)
 
 let test_thousand_volume_budget () =
@@ -257,6 +346,8 @@ let () =
         [
           Alcotest.test_case "closed-loop bit-identity" `Slow test_bit_identity;
           Alcotest.test_case "open-loop bit-identity" `Slow test_bit_identity_open_loop;
+          Alcotest.test_case "results and rollups read one registry" `Slow test_views_agree;
+          Alcotest.test_case "registry live without a tracer" `Slow test_registry_live_untraced;
         ] );
       ( "watchdog",
         [

@@ -62,7 +62,7 @@ let mutator_whitelist = [ "infra.ml"; "cp.ml"; "aggregate.ml" ]
    subsystem itself.  Everything else must record through the Trace API
    (with_span / instant / complete), which keeps the disabled path a
    single branch and the event stream well-formed. *)
-let sink_whitelist = [ "trace.ml"; "metrics.ml"; "sink.ml" ]
+let sink_whitelist = [ "trace.ml"; "sink.ml" ]
 
 (* Files allowed to call the raw causal-edge primitives on [Trace]
    (capture / restore / with_root / fiber_reset): the observability
