@@ -39,15 +39,15 @@ let () =
            (Nvlog.pending (Aggregate.nvlog agg))));
   Engine.run eng;
 
-  (* Pull the plug: all volatile state is gone.  Only the disk image, the
-     last superblock and the NVRAM log survive. *)
-  let persistent = Aggregate.crash agg in
+  (* Pull the plug: all volatile state is gone.  Only the persistent
+     image survives: the disk, the last superblock and the NVRAM log. *)
+  let persistent : Image.t = Aggregate.crash agg in
   print_endline "CRASH: dropping all in-memory state";
 
   let eng2 = Engine.create ~cores:8 () in
   let agg2 = Aggregate.recover eng2 ~cost:Cost.default persistent in
   Printf.printf "recovered: superblock generation %d, replaying NVRAM\n"
-    (Aggregate.generation agg2);
+    (Image.generation (Aggregate.tree agg2));
   ignore
     (Engine.spawn eng2 ~label:"verify" (fun () ->
          let lost = ref 0 in
@@ -63,5 +63,5 @@ let () =
          Wafl_core.Cp.run_now (Wafl_core.Walloc.cp walloc2);
          Aggregate.fsck agg2;
          Printf.printf "post-recovery CP committed (generation %d), fsck clean\n"
-           (Aggregate.generation agg2)));
+           (Image.generation (Aggregate.tree agg2))));
   Engine.run eng2

@@ -52,7 +52,8 @@ let () =
 
          let active = Aggregate.read agg ~vol:(Volume.id vol) ~file:(File.id file) ~fbn:7 in
          let old =
-           Aggregate.read_snapshot agg snap ~vol:(Volume.id vol) ~file:(File.id file) ~fbn:7
+           Image.read_snapshot (Aggregate.tree agg) snap ~vol:(Volume.id vol) ~file:(File.id file)
+             ~fbn:7
          in
          Printf.printf "fbn 7: active view = %Ld, snapshot view = %Ld\n"
            (Option.get active) (Option.get old);

@@ -167,6 +167,82 @@ let build_work t snapshot =
 
 (* --- metafile pass ------------------------------------------------------ *)
 
+(* Point a metafile block at its new pvbn and free the one it leaves. *)
+let relocate t tree ref_ pvbn =
+  let old = Image.set_location tree ref_ pvbn in
+  if old >= 0 then begin
+    Engine.consume t.cost.Cost.bitmap_bit_update;
+    Aggregate.commit_free_pvbn t.agg old
+  end
+
+(* Take the dirty metafile blocks until a pass moves none: relocations
+   dirty the activemap chunks.  [place] handles one dirty block and says
+   whether it moved it; returns the number of passes. *)
+let relocate_to_fixpoint tree ~what place =
+  let passes = ref 0 in
+  let continue_passes = ref true in
+  while !continue_passes do
+    incr passes;
+    if !passes > 24 then failwith ("Cp: " ^ what ^ " did not converge");
+    let refs = Image.take_dirty tree in
+    if not (List.fold_left (fun moved ref_ -> place ref_ || moved) false refs) then
+      continue_passes := false
+  done;
+  !passes
+
+(* The first [k] elements of [rest] prepended to [acc] (so reversed),
+   and what is left. *)
+let rec take_rev k acc rest =
+  if k = 0 then (acc, rest)
+  else match rest with [] -> (acc, []) | x :: tl -> take_rev (k - 1) (x :: acc) tl
+
+(* Phase B of the metafile pass: serialize and enqueue the assigned
+   blocks, batched per affinity.  Batches are posted in first-appearance
+   order of their affinity so the message sequence is independent of
+   hash internals; the CP fiber parks until every batch has run. *)
+let write_meta_batches t tree assigned order =
+  let batches = Hashtbl.create 16 in
+  let batch_order = ref [] in
+  List.iter
+    (fun ref_ ->
+      let affinity = Infra.meta_affinity t.infra ref_ in
+      (match Hashtbl.find_opt batches affinity with
+      | None ->
+          batch_order := affinity :: !batch_order;
+          Hashtbl.add batches affinity [ ref_ ]
+      | Some cur -> Hashtbl.replace batches affinity (ref_ :: cur)))
+    order;
+  let outstanding = ref 0 in
+  let me = Engine.self t.eng in
+  let batch_size = 32 in
+  List.iter
+    (fun affinity ->
+      let rec chunks = function
+        | [] -> ()
+        | refs ->
+            let batch, rest = take_rev batch_size [] refs in
+            (* The fan-out countdown is shared with every phase-B message
+               (an atomic in a real kernel). *)
+            Engine.probe_atomic t.eng ~shared:"cp.meta_outstanding";
+            incr outstanding;
+            Infra.post_meta t.infra ~affinity (fun () ->
+                List.iter
+                  (fun ref_ ->
+                    let pvbn, bucket = Hashtbl.find assigned ref_ in
+                    let payload = Image.payload tree ref_ in
+                    Engine.consume t.cost.Cost.metafile_block_touch;
+                    Api.enqueue_deferred bucket ~vbn:pvbn ~payload)
+                  batch;
+                Engine.probe_atomic t.eng ~shared:"cp.meta_outstanding";
+                decr outstanding;
+                if !outstanding = 0 then Engine.wake t.eng me);
+            chunks rest
+      in
+      chunks (Hashtbl.find batches affinity))
+    (List.rev !batch_order);
+  if !outstanding > 0 then Engine.park t.eng;
+  Engine.probe_atomic t.eng ~shared:"cp.meta_outstanding"
+
 (* Relocate and write out every dirty metafile block.
 
    Phase A (on the CP fiber): assign a fresh pvbn to every dirty block,
@@ -184,6 +260,7 @@ let build_work t snapshot =
    parallelization pays off for random-write workloads whose scattered
    frees dirty many container and bitmap blocks. *)
 let metafile_pass t =
+  let tree = Aggregate.tree t.agg in
   let current = ref None in
   (* Insertion-ordered set of tetrises (physical identity): hashing a
      tetris record would make the final submit order depend on structural
@@ -223,85 +300,25 @@ let metafile_pass t =
         alloc_meta ()
   in
   (* Phase A: assignment fixpoint. *)
-  let assigned : (Aggregate.meta_ref, int * Bucket.t) Hashtbl.t = Hashtbl.create 256 in
+  let assigned : (Image.meta_ref, int * Bucket.t) Hashtbl.t = Hashtbl.create 256 in
   let order = ref [] in
-  let passes = ref 0 in
-  let continue_passes = ref true in
-  while !continue_passes do
-    incr passes;
-    if !passes > 24 then failwith "Cp: metafile relocation did not converge";
-    let refs = Aggregate.take_dirty_meta t.agg in
-    let progressed = ref false in
-    List.iter
-      (fun ref_ ->
-        if not (Hashtbl.mem assigned ref_) then begin
-          progressed := true;
+  let passes =
+    relocate_to_fixpoint tree ~what:"metafile relocation" (fun ref_ ->
+        if Hashtbl.mem assigned ref_ then false
+        else begin
           let pvbn, bucket = alloc_meta () in
-          let old = Aggregate.meta_set_location t.agg ref_ pvbn in
-          if old >= 0 then begin
-            Engine.consume t.cost.Cost.bitmap_bit_update;
-            Aggregate.commit_free_pvbn t.agg old
-          end;
+          relocate t tree ref_ pvbn;
           Hashtbl.add assigned ref_ (pvbn, bucket);
-          order := ref_ :: !order
+          order := ref_ :: !order;
+          true
         end)
-      refs;
-    if not !progressed then continue_passes := false
-  done;
+  in
   put_current ();
-  (* Phase B: parallel serialization + enqueue, batched per affinity.
-     Batches are posted in first-appearance order of their affinity so
-     the message sequence is independent of hash internals. *)
-  let batches = Hashtbl.create 16 in
-  let batch_order = ref [] in
-  List.iter
-    (fun ref_ ->
-      let affinity = Infra.meta_affinity t.infra ref_ in
-      (match Hashtbl.find_opt batches affinity with
-      | None ->
-          batch_order := affinity :: !batch_order;
-          Hashtbl.add batches affinity [ ref_ ]
-      | Some cur -> Hashtbl.replace batches affinity (ref_ :: cur)))
-    (List.rev !order);
-  let outstanding = ref 0 in
-  let me = Engine.self t.eng in
-  let batch_size = 32 in
-  List.iter
-    (fun affinity ->
-      let refs = Hashtbl.find batches affinity in
-      let rec chunks = function
-        | [] -> ()
-        | refs ->
-            let rec take k acc rest =
-              if k = 0 then (acc, rest)
-              else match rest with [] -> (acc, []) | x :: tl -> take (k - 1) (x :: acc) tl
-            in
-            let batch, rest = take batch_size [] refs in
-            (* The fan-out countdown is shared with every phase-B message
-               (an atomic in a real kernel). *)
-            Engine.probe_atomic t.eng ~shared:"cp.meta_outstanding";
-            incr outstanding;
-            Infra.post_meta t.infra ~affinity (fun () ->
-                List.iter
-                  (fun ref_ ->
-                    let pvbn, bucket = Hashtbl.find assigned ref_ in
-                    let payload = Aggregate.meta_payload t.agg ref_ in
-                    Engine.consume t.cost.Cost.metafile_block_touch;
-                    Api.enqueue_deferred bucket ~vbn:pvbn ~payload)
-                  batch;
-                Engine.probe_atomic t.eng ~shared:"cp.meta_outstanding";
-                decr outstanding;
-                if !outstanding = 0 then Engine.wake t.eng me);
-            chunks rest
-      in
-      chunks refs)
-    (List.rev !batch_order);
-  if !outstanding > 0 then Engine.park t.eng;
-  Engine.probe_atomic t.eng ~shared:"cp.meta_outstanding";
+  write_meta_batches t tree assigned (List.rev !order);
   (* Force out the tetrises that received metafile blocks: their buckets
      may already have been returned and their cycles retired. *)
   List.iter Tetris.submit_now (List.rev !tetrises);
-  (Hashtbl.length assigned, !passes)
+  (Hashtbl.length assigned, passes)
 
 (* --- deferred file deletion ---------------------------------------------- *)
 
@@ -333,12 +350,7 @@ let process_zombies t =
             let rec in_batches target = function
               | [] -> ()
               | vbns ->
-                  let rec take k acc rest =
-                    if k = 0 then (acc, rest)
-                    else
-                      match rest with [] -> (acc, []) | x :: tl -> take (k - 1) (x :: acc) tl
-                  in
-                  let batch, rest = take 64 [] vbns in
+                  let batch, rest = take_rev 64 [] vbns in
                   Infra.commit_frees t.infra ~target ~vbns:(Array.of_list batch) ~token;
                   in_batches target rest
             in
@@ -471,67 +483,38 @@ let serial_metafile_pass t =
      relocated at most once per CP; non-activemap blocks are serialized
      at assignment time, aggregate-activemap chunks only after all
      allocation bits have settled. *)
+  let tree = Aggregate.tree t.agg in
   let written = ref 0 in
-  let passes = ref 0 in
-  let aggmap_assigned : (Aggregate.meta_ref, int) Hashtbl.t = Hashtbl.create 64 in
+  let aggmap_assigned : (Image.meta_ref, int) Hashtbl.t = Hashtbl.create 64 in
   let aggmap_order = ref [] in
-  let continue_passes = ref true in
-  while !continue_passes do
-    incr passes;
-    if !passes > 24 then failwith "Cp: serial metafile relocation did not converge";
-    let refs = Aggregate.take_dirty_meta t.agg in
-    let progressed = ref false in
-    List.iter
-      (fun ref_ ->
+  let write ref_ pvbn =
+    let payload = Image.payload tree ref_ in
+    Engine.consume t.cost.Cost.metafile_block_touch;
+    serial_enqueue_write t pvbn payload;
+    incr written
+  in
+  let passes =
+    relocate_to_fixpoint tree ~what:"serial metafile relocation" (fun ref_ ->
         match ref_ with
-        | Aggregate.Agg_map_chunk _ ->
-            if not (Hashtbl.mem aggmap_assigned ref_) then begin
-              progressed := true;
-              let pvbn = serial_alloc_pvbn t in
-              let old = Aggregate.meta_set_location t.agg ref_ pvbn in
-              if old >= 0 then begin
-                Engine.consume t.cost.Cost.bitmap_bit_update;
-                Aggregate.commit_free_pvbn t.agg old
-              end;
-              Hashtbl.add aggmap_assigned ref_ pvbn;
-              aggmap_order := ref_ :: !aggmap_order
-            end
-        | _ ->
-            progressed := true;
+        | Image.Agg_map_chunk _ when Hashtbl.mem aggmap_assigned ref_ -> false
+        | Image.Agg_map_chunk _ ->
             let pvbn = serial_alloc_pvbn t in
-            let old = Aggregate.meta_set_location t.agg ref_ pvbn in
-            if old >= 0 then begin
-              Engine.consume t.cost.Cost.bitmap_bit_update;
-              Aggregate.commit_free_pvbn t.agg old
-            end;
-            let payload = Aggregate.meta_payload t.agg ref_ in
-            Engine.consume t.cost.Cost.metafile_block_touch;
-            serial_enqueue_write t pvbn payload;
-            incr written)
-      refs;
-    if not !progressed then continue_passes := false
-  done;
+            relocate t tree ref_ pvbn;
+            Hashtbl.add aggmap_assigned ref_ pvbn;
+            aggmap_order := ref_ :: !aggmap_order;
+            true
+        | _ ->
+            let pvbn = serial_alloc_pvbn t in
+            relocate t tree ref_ pvbn;
+            write ref_ pvbn;
+            true)
+  in
   (* Write the settled activemap chunks in assignment order — iterating
      the table would tie the I/O sequence to hash internals. *)
-  List.iter
-    (fun ref_ ->
-      let pvbn = Hashtbl.find aggmap_assigned ref_ in
-      let payload = Aggregate.meta_payload t.agg ref_ in
-      Engine.consume t.cost.Cost.metafile_block_touch;
-      serial_enqueue_write t pvbn payload;
-      incr written)
-    (List.rev !aggmap_order);
-  (!written, !passes)
+  List.iter (fun ref_ -> write ref_ (Hashtbl.find aggmap_assigned ref_)) (List.rev !aggmap_order);
+  (!written, passes)
 
 (* --- repair of failed writes (fault injection) -------------------------- *)
-
-let meta_ref_of_payload = function
-  | Layout.Bmap { vol; file; index; _ } -> Some (Aggregate.Bmap_block { vol; file; index })
-  | Layout.Inode_chunk { vol; index; _ } -> Some (Aggregate.Inode_chunk { vol; index })
-  | Layout.Container { vol; index; _ } -> Some (Aggregate.Container_chunk { vol; index })
-  | Layout.Vol_map { vol; index; _ } -> Some (Aggregate.Vol_map_chunk { vol; index })
-  | Layout.Agg_map { index; _ } -> Some (Aggregate.Agg_map_chunk { index })
-  | Layout.Data _ -> None
 
 (* Free a pvbn whose write failed, unless something else already released
    it (the mapping moved on within this CP). *)
@@ -587,15 +570,16 @@ let repair_failed_writes t =
                       end;
                       repair_free t old_pvbn))
           | meta -> (
-              match meta_ref_of_payload meta with
-              | Some ref_ when Aggregate.meta_location t.agg ref_ = old_pvbn ->
+              let tree = Aggregate.tree t.agg in
+              match Image.ref_of_block meta with
+              | Some ref_ when Image.location tree ref_ = old_pvbn ->
                   let pvbn = serial_alloc_pvbn t in
-                  ignore (Aggregate.meta_set_location t.agg ref_ pvbn);
+                  ignore (Image.set_location tree ref_ pvbn);
                   repair_free t old_pvbn;
                   (* Serialize after the location change so the payload
                      embeds the new location (bmap moves re-dirty the
                      inode chunk; the metafile pass below rewrites it). *)
-                  serial_enqueue_write t pvbn (Aggregate.meta_payload t.agg ref_);
+                  serial_enqueue_write t pvbn (Image.payload tree ref_);
                   incr repaired
               | _ -> repair_free t old_pvbn))
         failed;
@@ -612,9 +596,15 @@ let repair_failed_writes t =
 
 let publish_commit t =
   Engine.consume t.cost.Cost.cp_fixed;
-  let sb = Aggregate.make_superblock t.agg in
+  let tree = Aggregate.tree t.agg in
+  let sb =
+    Image.encode tree
+      ~free_blocks:(Counters.read (Aggregate.counters t.agg) "agg_free_blocks")
+      ~snapshots:(Aggregate.snapshots t.agg)
+  in
   Engine.sleep t.cost.Cost.device_base_latency;
-  Aggregate.publish_superblock t.agg sb
+  Image.publish tree sb;
+  Aggregate.cp_done t.agg
 
 let run_cp_body t =
   let started = Engine.now t.eng in
@@ -718,7 +708,7 @@ let run_cp_body t =
     Wafl_obs.Trace.complete t.obs ~cat:"cp" ~name:"CP" ~ts:started ~dur:t.last_duration
       ~num_args:
         [
-          ("generation", float_of_int (Aggregate.generation t.agg));
+          ("generation", float_of_int (Image.generation (Aggregate.tree t.agg)));
           ("buffers", float_of_int !buffers_total);
           ("meta_blocks", float_of_int meta_blocks);
           ("passes", float_of_int passes);
@@ -726,7 +716,7 @@ let run_cp_body t =
       ();
   t.history <-
     {
-      generation = Aggregate.generation t.agg;
+      generation = Image.generation (Aggregate.tree t.agg);
       started_at = started;
       duration = t.last_duration;
       buffers = t.last_buffers;

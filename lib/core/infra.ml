@@ -182,7 +182,7 @@ let refill_drive t st ~drive ~base ~lo_dbn =
   Engine.consume (t.cost.Cost.bucket_fixed +. t.cost.Cost.summary_update);
   if Engine.sanitizing t.eng then
     for b = lo / Layout.bits_per_map_block to hi / Layout.bits_per_map_block do
-      Engine.probe_locked t.eng ~shared:(Aggregate.agg_map_domain ~index:b) Race.Read
+      Engine.probe_locked t.eng ~shared:(Image.agg_map_domain ~index:b) Race.Read
     done;
   let vbns =
     scan_range t (Aggregate.agg_map t.agg) ~lo ~hi ~allocatable:(fun v ->
@@ -275,7 +275,7 @@ let scan_virt_chunk t vs ~lo ~hi =
   if Engine.sanitizing t.eng then begin
     let vol = Volume.id vs.vol in
     for b = lo / Layout.bits_per_map_block to hi / Layout.bits_per_map_block do
-      Engine.probe_locked t.eng ~shared:(Aggregate.vol_map_domain ~vol ~index:b) Race.Read
+      Engine.probe_locked t.eng ~shared:(Image.vol_map_domain ~vol ~index:b) Race.Read
     done
   end;
   let vbns =
@@ -407,16 +407,16 @@ let commit_frees ?owner t ~target ~vbns ~token =
 (* Affinity under which a metafile block's serialization/write-out runs
    during a CP — the "most expensive infrastructure operations ... run in
    these Range affinities" optimization of §IV-B2. *)
-let meta_affinity t (ref_ : Aggregate.meta_ref) =
+let meta_affinity t (ref_ : Image.meta_ref) =
   if not t.cfg.parallel then Aff.Aggregate_vbn t.agg_id
   else
     match ref_ with
-    | Aggregate.Agg_map_chunk { index } -> Aff.Agg_range (t.agg_id, index mod t.cfg.ranges)
-    | Aggregate.Vol_map_chunk { vol; index }
-    | Aggregate.Container_chunk { vol; index }
-    | Aggregate.Inode_chunk { vol; index } ->
+    | Image.Agg_map_chunk { index } -> Aff.Agg_range (t.agg_id, index mod t.cfg.ranges)
+    | Image.Vol_map_chunk { vol; index }
+    | Image.Container_chunk { vol; index }
+    | Image.Inode_chunk { vol; index } ->
         Aff.Vol_range (t.agg_id, vol, index mod t.cfg.ranges)
-    | Aggregate.Bmap_block { vol; file; index } ->
+    | Image.Bmap_block { vol; file; index } ->
         Aff.Vol_range (t.agg_id, vol, (file + index) mod t.cfg.ranges)
 
 let post_meta t ~affinity body = post t ~affinity body
@@ -458,7 +458,7 @@ let register_vol_state t vol =
              whole infrastructure runs under Aggregate_vbn, so that is
              the affinity that guards the block. *)
           Isolation.register_owner iso
-            ~shared:(Aggregate.vol_map_domain ~vol:vid ~index:b)
+            ~shared:(Image.vol_map_domain ~vol:vid ~index:b)
             (virt_affinity t ~vol:vid ~sample_vvbn:(b * Layout.bits_per_map_block))
         done
     | None -> ());
@@ -521,7 +521,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) sched agg cfg =
       in
       for b = 0 to nblocks - 1 do
         Isolation.register_owner iso
-          ~shared:(Aggregate.agg_map_domain ~index:b)
+          ~shared:(Image.agg_map_domain ~index:b)
           (phys_affinity t ~sample_vbn:(b * Layout.bits_per_map_block))
       done
   | None -> ());

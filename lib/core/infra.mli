@@ -57,7 +57,7 @@ val commit_frees :
     [owner] is the staging cleaner's index; when sanitizing, the token
     flush probes that cleaner's token domain (see DESIGN.md §4.7). *)
 
-val meta_affinity : t -> Wafl_fs.Aggregate.meta_ref -> Wafl_waffinity.Affinity.t
+val meta_affinity : t -> Wafl_fs.Image.meta_ref -> Wafl_waffinity.Affinity.t
 (** Range affinity under which a metafile block's CP write-out runs
     (single [Aggregate_vbn] lane when serialized). *)
 

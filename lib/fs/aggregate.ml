@@ -3,37 +3,11 @@ open Wafl_util
 
 open Wafl_sim
 
-type meta_ref =
-  | Bmap_block of { vol : int; file : int; index : int }
-  | Inode_chunk of { vol : int; index : int }
-  | Container_chunk of { vol : int; index : int }
-  | Vol_map_chunk of { vol : int; index : int }
-  | Agg_map_chunk of { index : int }
-
-type persist = {
-  p_disk : Layout.block Disk.t;
-  mutable p_sb : Layout.superblock option;
-  p_nvlog : Nvlog.t;
-  p_flash : Wafl_flash.Ftl.config option;
-      (* media model config; the FTL state itself is volatile (the real
-         device rebuilds its L2P from NAND metadata on power-on, modeled
-         by re-deriving fill from the recovered activemap) *)
-}
-
-exception Corruption of string
-
 let vvbn_region_bits = Layout.bits_per_map_block
 
-(* --- sanitizer data-domain names (DESIGN.md §4.7) ---
-
-   One domain per metafile map block: the partition-private unit the
-   affinity rules protect.  The same names are used by the allocation
-   probes here, the scan probes in Infra, and the Isolation owner map. *)
-
-let agg_map_domain ~index = Printf.sprintf "agg.map/%d" index
-let vol_map_domain ~vol ~index = Printf.sprintf "vol/%d.map/%d" vol index
-let pvbn_domain pvbn = agg_map_domain ~index:(pvbn / Layout.bits_per_map_block)
-let vvbn_domain ~vol vvbn = vol_map_domain ~vol ~index:(vvbn / Layout.bits_per_map_block)
+(* Sanitizer domains of the map blocks covering a bit (DESIGN.md §4.7). *)
+let pvbn_domain pvbn = Image.agg_map_domain ~index:(pvbn / Layout.bits_per_map_block)
+let vvbn_domain ~vol vvbn = Image.vol_map_domain ~vol ~index:(vvbn / Layout.bits_per_map_block)
 
 (* Test-only fault hooks, fixed per aggregate at creation (see the .mli). *)
 type chaos = { publish_before_quiesce : bool; force_b2b : bool; inject_hard_dwell : float }
@@ -45,13 +19,9 @@ type t = {
   cost : Cost.t;
   chaos : chaos;
   geom : Geometry.t;
-  pers : persist;
-  raids : Layout.block Raid.t array;
+  tree : Image.tree; (* the persistent handle, RAID groups, activemap, volumes *)
   flash_on : bool; (* hoisted: any raid has an FTL attached *)
-  agg_map : Bitmap_file.t;
   aa_free_tbl : int array array; (* rg -> aa -> free blocks *)
-  mutable vols : (int * Volume.t) list; (* ascending ids; volumes are few *)
-  vols_tbl : (int, Volume.t) Hashtbl.t; (* same volumes; O(1) lookup *)
   free_cell : int ref; (* cached [free_counter] cell: no hash per block *)
   held_cell : int ref; (* cached "snapshot_held_blocks" cell *)
   vol_free_cells : (int, int ref) Hashtbl.t; (* vid -> cached vvbn-free cell *)
@@ -66,8 +36,6 @@ type t = {
   mutable snaps : Snapshot.t list;
   log_space : Sync.Waitq.t;
   mutable next_vol_id : int;
-  mutable generation : int;
-  mutable cp_count : int;
   mutable cp_in_progress : bool;
   (* Overload protection (DESIGN.md §4.11).  [cp_trigger] is installed by
      the CP engine so watermark admission can start an early CP;
@@ -99,10 +67,10 @@ let init_aa_free geom =
       Array.make (Geometry.aa_count geom)
         (Geometry.aa_stripes geom * Geometry.data_drives geom ~rg))
 
-(* The one record builder: a fresh, empty mount of [pers]; {!create}
+(* The one record builder: a fresh, empty mount of [img]; {!create}
    sizes a new image, {!recover} loads the superblock tree on top. *)
-let mount ?(cache_blocks = 65536) ?queue_depth ?obs ~chaos eng ~cost pers =
-  let geom = Disk.geometry pers.p_disk in
+let mount ?(cache_blocks = 65536) ?queue_depth ?obs ~chaos eng ~cost img =
+  let geom = Disk.geometry (Image.disk img) in
   let counters = Counters.create () in
   let m = Engine.metrics eng in
   Counters.set counters free_counter (Geometry.total_data_blocks geom);
@@ -111,13 +79,17 @@ let mount ?(cache_blocks = 65536) ?queue_depth ?obs ~chaos eng ~cost pers =
     cost;
     chaos;
     geom;
-    pers;
-    raids = make_raids eng cost pers.p_disk geom queue_depth obs pers.p_flash;
-    flash_on = pers.p_flash <> None;
-    agg_map = Bitmap_file.create ~bits:(Geometry.total_data_blocks geom);
+    tree =
+      {
+        Image.img;
+        eng;
+        raids = make_raids eng cost (Image.disk img) geom queue_depth obs (Image.flash img);
+        agg_map = Bitmap_file.create ~bits:(Geometry.total_data_blocks geom);
+        vols = [];
+        vols_tbl = Hashtbl.create 8;
+      };
+    flash_on = Image.flash img <> None;
     aa_free_tbl = init_aa_free geom;
-    vols = [];
-    vols_tbl = Hashtbl.create 8;
     vol_free_cells = Hashtbl.create 8;
     free_cell = Counters.cell counters free_counter;
     held_cell = Counters.cell counters "snapshot_held_blocks";
@@ -130,8 +102,6 @@ let mount ?(cache_blocks = 65536) ?queue_depth ?obs ~chaos eng ~cost pers =
     snaps = [];
     log_space = Sync.Waitq.create eng;
     next_vol_id = 0;
-    generation = 0;
-    cp_count = 0;
     cp_in_progress = false;
     cp_trigger = None;
     log_inflight = 0;
@@ -140,26 +110,22 @@ let mount ?(cache_blocks = 65536) ?queue_depth ?obs ~chaos eng ~cost pers =
     m_hard_dwell = Metrics.counter m "nvlog.hard_dwell_us";
   }
 
-let create ?(nvlog_half = 16384) ?nvlog_watermarks ?cache_blocks ?queue_depth ?obs ?flash
+let create ?nvlog_half ?nvlog_watermarks ?cache_blocks ?queue_depth ?obs ?flash
     ?(chaos = no_chaos) eng ~cost ~geometry () =
   mount ?cache_blocks ?queue_depth ?obs ~chaos eng ~cost
-    {
-      p_disk = Disk.create geometry;
-      p_sb = None;
-      p_nvlog = Nvlog.create ~half_capacity:nvlog_half ?watermarks:nvlog_watermarks ();
-      p_flash = flash;
-    }
+    (Image.create ?nvlog_half ?nvlog_watermarks ?flash geometry)
 
 let engine t = t.eng
 let cost t = t.cost
 let chaos t = t.chaos
 let geometry t = t.geom
-let disk t = t.pers.p_disk
-let raid t ~rg = t.raids.(rg)
-let raid_groups t = t.raids
-let nvlog t = t.pers.p_nvlog
+let tree t = t.tree
+let disk t = Image.disk t.tree.img
+let raid t ~rg = t.tree.raids.(rg)
+let raid_groups t = t.tree.raids
+let nvlog t = Image.nvlog t.tree.img
 let counters t = t.counters
-let agg_map t = t.agg_map
+let agg_map t = t.tree.agg_map
 
 (* --- volumes and files --- *)
 
@@ -174,7 +140,7 @@ let volume t vid =
   match t.last_vol with
   | Some v when Volume.id v = vid -> t.last_vol
   | _ ->
-      let r = Hashtbl.find_opt t.vols_tbl vid in
+      let r = Hashtbl.find_opt t.tree.vols_tbl vid in
       (match r with Some _ -> t.last_vol <- r | None -> ());
       r
 
@@ -183,30 +149,29 @@ let volume_exn t vid =
   | Some v -> v
   | None -> invalid_arg (Printf.sprintf "Aggregate: no volume %d" vid)
 
-let volumes t = List.map snd t.vols
+let volumes t = List.map snd t.tree.vols
 
 let region_count vvbn_space = (vvbn_space + vvbn_region_bits - 1) / vvbn_region_bits
 
-let register_volume t vol =
-  t.vols <- t.vols @ [ (Volume.id vol, vol) ];
-  Hashtbl.replace t.vols_tbl (Volume.id vol) vol;
-  if Volume.id vol >= t.next_vol_id then t.next_vol_id <- Volume.id vol + 1;
-  let nregions = region_count (Volume.vvbn_space vol) in
-  let free = Array.make nregions 0 in
-  for r = 0 to nregions - 1 do
+(* Summaries of a volume in the tree, derived from its volume map: the
+   free-vvbn regions and counter. *)
+let init_volume_summaries t vol =
+  let vid = Volume.id vol and vmap = Volume.vol_map vol in
+  if vid >= t.next_vol_id then t.next_vol_id <- vid + 1;
+  let free r =
     let lo = r * vvbn_region_bits in
     let hi = min (Volume.vvbn_space vol - 1) (((r + 1) * vvbn_region_bits) - 1) in
-    free.(r) <- hi - lo + 1
-  done;
-  Hashtbl.replace t.vvbn_region_free (Volume.id vol) free;
-  Counters.set t.counters (vol_free_counter (Volume.id vol)) (Volume.vvbn_space vol);
-  Hashtbl.replace t.vol_free_cells (Volume.id vol)
-    (Counters.cell t.counters (vol_free_counter (Volume.id vol)))
+    Bitmap_file.count_free_in vmap ~lo ~hi
+  in
+  Hashtbl.replace t.vvbn_region_free vid (Array.init (region_count (Volume.vvbn_space vol)) free);
+  Counters.set t.counters (vol_free_counter vid) (Bitmap_file.free_count vmap);
+  Hashtbl.replace t.vol_free_cells vid (Counters.cell t.counters (vol_free_counter vid))
 
 let create_volume t ~vvbn_space =
   let vid = t.next_vol_id in
   let vol = Volume.create ~id:vid ~vvbn_space in
-  register_volume t vol;
+  Image.add_volume t.tree vol;
+  init_volume_summaries t vol;
   ignore (log_append t (Nvlog.Create_vol { vol = vid; vvbn_space }));
   vol
 
@@ -248,25 +213,9 @@ let write t ~vol ~file ~fbn ~content =
 
 let buffer_cache t = t.cache
 
-(* All on-disk reads funnel through the RAID read path so that latent
-   media errors and degraded groups are handled (reconstruction from the
-   parity model) instead of silently returning the stored payload. *)
-let read_pvbn t pvbn =
-  match Raid.read t.raids.(Geometry.rg_of t.geom pvbn) pvbn with
-  | `Ok p -> Some p
-  | `Degraded p -> Some p
-  | `Absent -> None
-  | `Lost ->
-      raise
-        (Corruption
-           (Printf.sprintf "pvbn %d unrecoverable: media error in a degraded RAID group" pvbn))
-
-let flash_enabled t = t.flash_on
-let ftls t = Array.to_list t.raids |> List.filter_map Raid.flash
-
 (* Route tetris payloads to flash write streams (no-op without a media
    model; installed by Walloc when the [streams] policy is on). *)
-let set_stream_classifier t f = Array.iter (fun r -> Raid.set_stream_of r f) t.raids
+let set_stream_classifier t f = Array.iter (fun r -> Raid.set_stream_of r f) t.tree.raids
 
 (* Like [read] but reports whether the on-disk path hit the buffer cache;
    the caller charges the miss cost.  [`Buffered] means the block was
@@ -283,26 +232,13 @@ let read_cached_status t ~vol ~file ~fbn =
           match Volume.pvbn_of_vvbn v vvbn with
           | -1 ->
               raise
-                (Corruption
+                (Image.Corruption
                    (Printf.sprintf "vol %d file %d fbn %d: vvbn %d has no container entry"
                       vol file fbn vvbn))
           | pvbn -> (
               if Engine.sanitizing t.eng then Engine.probe_atomic t.eng ~shared:"fs.buffer_cache";
               let status = if Buffer_cache.probe t.cache pvbn then `Hit else `Miss in
-              match read_pvbn t pvbn with
-              | Some (Layout.Data d) when d.vol = vol && d.file = file && d.fbn = fbn ->
-                  (Some d.content, status)
-              | Some _ ->
-                  raise
-                    (Corruption
-                       (Printf.sprintf
-                          "vol %d file %d fbn %d: pvbn %d holds someone else's block" vol
-                          file fbn pvbn))
-              | None ->
-                  raise
-                    (Corruption
-                       (Printf.sprintf "vol %d file %d fbn %d: pvbn %d never written" vol
-                          file fbn pvbn)))))
+              (Some (Image.read_data t.tree ~what:"" ~vol ~file ~fbn pvbn), status))))
 
 let read t ~vol ~file ~fbn = fst (read_cached_status t ~vol ~file ~fbn)
 
@@ -374,7 +310,7 @@ let adjust_aa_free t pvbn delta =
 
 let commit_alloc_pvbn t pvbn =
   if Engine.sanitizing t.eng then Engine.probe_locked t.eng ~shared:(pvbn_domain pvbn) Race.Write;
-  Bitmap_file.set t.agg_map pvbn;
+  Bitmap_file.set t.tree.agg_map pvbn;
   adjust_aa_free t pvbn (-1);
   t.free_cell := !(t.free_cell) - 1
 
@@ -405,7 +341,7 @@ let commit_free_pvbn t pvbn =
     Engine.probe_locked t.eng ~shared:(pvbn_domain pvbn) Race.Write;
     Engine.probe_atomic t.eng ~shared:"fs.buffer_cache"
   end;
-  Bitmap_file.clear t.agg_map pvbn;
+  Bitmap_file.clear t.tree.agg_map pvbn;
   (* The block's content is dead; a future occupant must read from disk. *)
   Buffer_cache.invalidate t.cache pvbn;
   if snapshot_held t pvbn then
@@ -421,10 +357,10 @@ let commit_free_pvbn t pvbn =
      the FTL's GC would keep relocating pages the file system no longer
      references, and the device-fill axis would only ever grow. *)
   if t.flash_on then
-    Raid.trim t.raids.(Geometry.rg_of t.geom pvbn) pvbn
+    Raid.trim t.tree.raids.(Geometry.rg_of t.geom pvbn) pvbn
 
 let pvbn_allocatable t pvbn =
-  (not (Bitmap_file.mem t.agg_map pvbn))
+  (not (Bitmap_file.mem t.tree.agg_map pvbn))
   && (not (Bitops.test_bit t.recently_freed pvbn))
   && not (snapshot_held t pvbn)
 
@@ -479,134 +415,19 @@ let cp_snapshot t =
   t.cp_in_progress <- true;
   if Engine.sanitizing t.eng then Engine.probe_atomic t.eng ~shared:"fs.nvlog";
   Nvlog.cp_begin (nvlog t);
-  List.map (fun (_, v) -> (v, Volume.cp_snapshot v)) t.vols
+  List.map (fun (_, v) -> (v, Volume.cp_snapshot v)) t.tree.vols
 
-let take_dirty_meta t =
-  let acc = ref [] in
-  (* Aggregate map last: relocating any other block dirties it. *)
-  List.iter
-    (fun idx -> acc := Agg_map_chunk { index = idx } :: !acc)
-    (Bitmap_file.dirty_blocks_desc t.agg_map);
-  Bitmap_file.clear_dirty t.agg_map;
-  List.iter
-    (fun (vid, v) ->
-      List.iter
-        (fun idx -> acc := Vol_map_chunk { vol = vid; index = idx } :: !acc)
-        (Bitmap_file.dirty_blocks_desc (Volume.vol_map v));
-      Bitmap_file.clear_dirty (Volume.vol_map v);
-      List.iter
-        (fun idx -> acc := Container_chunk { vol = vid; index = idx } :: !acc)
-        (Volume.dirty_container_chunks_desc v);
-      Volume.clear_dirty_containers v;
-      List.iter
-        (fun idx -> acc := Inode_chunk { vol = vid; index = idx } :: !acc)
-        (Volume.dirty_inode_chunks_desc v);
-      Volume.clear_dirty_inode_chunks v;
-      (* Bmap dirt lives on files touched by this CP's cleaning. *)
-      List.iter
-        (fun f ->
-          List.iter
-            (fun idx ->
-              acc := Bmap_block { vol = vid; file = File.id f; index = idx } :: !acc)
-            (File.dirty_bmap_blocks_desc f);
-          File.clear_dirty_bmap f)
-        (Volume.cp_files v))
-    (List.rev t.vols);
-  !acc
-
-let meta_payload t = function
-  | Bmap_block { vol; file; index } ->
-      let f = Volume.file_exn (volume_exn t vol) file in
-      Layout.Bmap { vol; file; index; entries = File.bmap_entries f index }
-  | Inode_chunk { vol; index } ->
-      Layout.Inode_chunk { vol; index; inodes = Volume.inode_chunk (volume_exn t vol) index }
-  | Container_chunk { vol; index } ->
-      Layout.Container
-        { vol; index; entries = Volume.container_entries (volume_exn t vol) index }
-  | Vol_map_chunk { vol; index } ->
-      if Engine.sanitizing t.eng then
-        Engine.probe_locked t.eng ~shared:(vol_map_domain ~vol ~index) Race.Read;
-      Layout.Vol_map
-        { vol; index; words = Bitmap_file.words_of_block (Volume.vol_map (volume_exn t vol)) index }
-  | Agg_map_chunk { index } ->
-      if Engine.sanitizing t.eng then Engine.probe_locked t.eng ~shared:(agg_map_domain ~index) Race.Read;
-      Layout.Agg_map { index; words = Bitmap_file.words_of_block t.agg_map index }
-
-(* Current on-disk location of a metafile block, or -1 when the owning
-   volume/file no longer exists (e.g. deleted between enqueue and a CP
-   repair round) or the block was never placed. *)
-let meta_location t ref_ =
-  match ref_ with
-  | Bmap_block { vol; file; index } -> (
-      match volume t vol with
-      | None -> -1
-      | Some v -> (
-          match Volume.file v file with
-          | None -> -1
-          | Some f -> File.bmap_location f index))
-  | Inode_chunk { vol; index } -> (
-      match volume t vol with None -> -1 | Some v -> Volume.inode_location v index)
-  | Container_chunk { vol; index } -> (
-      match volume t vol with None -> -1 | Some v -> Volume.container_location v index)
-  | Vol_map_chunk { vol; index } -> (
-      match volume t vol with
-      | None -> -1
-      | Some v -> Bitmap_file.location (Volume.vol_map v) index)
-  | Agg_map_chunk { index } -> Bitmap_file.location t.agg_map index
-
-let meta_set_location t ref_ pvbn =
-  match ref_ with
-  | Bmap_block { vol; file; index } ->
-      let v = volume_exn t vol in
-      let f = Volume.file_exn v file in
-      let old = File.set_bmap_location f index pvbn in
-      (* The inode record embeds bmap locations, so it changed too. *)
-      Volume.mark_inode_dirty v f;
-      old
-  | Inode_chunk { vol; index } -> Volume.set_inode_location (volume_exn t vol) index pvbn
-  | Container_chunk { vol; index } ->
-      Volume.set_container_location (volume_exn t vol) index pvbn
-  | Vol_map_chunk { vol; index } ->
-      Bitmap_file.set_location (Volume.vol_map (volume_exn t vol)) index pvbn
-  | Agg_map_chunk { index } -> Bitmap_file.set_location t.agg_map index pvbn
-
-let make_superblock t =
-  {
-    Layout.generation = t.generation + 1;
-    cp_count = t.cp_count + 1;
-    vols = List.map (fun (_, v) -> Volume.to_vol_rec v) t.vols;
-    aggmap_pvbns =
-      (let acc = ref [] in
-       for i = Bitmap_file.nblocks t.agg_map - 1 downto 0 do
-         let loc = Bitmap_file.location t.agg_map i in
-         if loc >= 0 then acc := (i, loc) :: !acc
-       done;
-       Array.of_list !acc);
-    free_blocks = Counters.read t.counters free_counter;
-    snap_roots =
-      List.map
-        (fun s -> (Snapshot.name s, { (Snapshot.superblock s) with Layout.snap_roots = [] }))
-        t.snaps;
-  }
-
-let publish_superblock t sb =
-  t.pers.p_sb <- Some sb;
-  t.generation <- sb.Layout.generation;
-  t.cp_count <- sb.Layout.cp_count;
-  if Engine.sanitizing t.eng then Engine.probe_atomic t.eng ~shared:"fs.nvlog";
-  Nvlog.cp_commit (nvlog t);
+(* The CP's superblock is published ({!Image.publish}): thaw the frees
+   it froze and re-admit writers. *)
+let cp_done t =
   Bitops.clear_words t.recently_freed;
   List.iter
     (fun (_, v) ->
       Volume.clear_recent_frees v;
       Volume.cp_done v)
-    t.vols;
+    t.tree.vols;
   t.cp_in_progress <- false;
   ignore (Sync.Waitq.wake_all t.log_space)
-
-let superblock t = t.pers.p_sb
-let generation t = t.generation
-let cp_count t = t.cp_count
 
 (* --- snapshots --- *)
 
@@ -615,21 +436,19 @@ let find_snapshot t name = List.find_opt (fun s -> Snapshot.name s = name) t.sna
 
 let create_snapshot t ~name =
   if t.cp_in_progress then invalid_arg "Aggregate.create_snapshot: CP in flight";
-  (match t.pers.p_sb with
-  | None -> invalid_arg "Aggregate.create_snapshot: no consistency point committed yet"
-  | Some _ -> ());
+  let sb =
+    match Image.superblock t.tree.img with
+    | None -> invalid_arg "Aggregate.create_snapshot: no consistency point committed yet"
+    | Some sb -> sb
+  in
   if find_snapshot t name <> None then
     invalid_arg (Printf.sprintf "Aggregate.create_snapshot: %S already exists" name);
   (* Between CPs the in-memory activemap equals the on-disk one, so its
      words are exactly the block set the last CP's tree references. *)
-  let sb = Option.get t.pers.p_sb in
-  let snap = Snapshot.make ~name ~sb ~words:(Bitmap_file.snapshot_words t.agg_map) in
+  let snap = Snapshot.make ~name ~sb ~words:(Bitmap_file.snapshot_words t.tree.agg_map) in
   t.snaps <- t.snaps @ [ snap ];
   rebuild_snap_union t;
   snap
-
-let read_snapshot t snap ~vol ~file ~fbn =
-  Snapshot.read snap ~disk:t.pers.p_disk ~vol ~file ~fbn
 
 (* Blocks that become reusable when [snap] goes away: held by it, free in
    the active map, and not held by any remaining snapshot. *)
@@ -639,7 +458,7 @@ let delete_snapshot t snap =
   t.snaps <- List.filter (fun s -> s != snap) t.snaps;
   rebuild_snap_union t;
   let words = Snapshot.held_words snap in
-  let active = Bitmap_file.snapshot_words t.agg_map in
+  let active = Bitmap_file.snapshot_words t.tree.agg_map in
   let released = ref 0 in
   for w = 0 to Bitops.word_count words - 1 do
     let candidates = Int64.logand (Bitops.word words w) (Int64.lognot (Bitops.word active w)) in
@@ -659,22 +478,14 @@ let delete_snapshot t snap =
 
 (* --- crash and recovery --- *)
 
-let persist t = t.pers
-let crash t = t.pers
-
-(* Recovery reads go through the fault-aware RAID path too: a latent
-   media error under a metafile block must be reconstructed, not treated
-   as corruption. *)
-let read_meta_block t pvbn describe =
-  match read_pvbn t pvbn with
-  | Some payload -> payload
-  | None -> raise (Corruption (Printf.sprintf "recovery: %s at pvbn %d missing" describe pvbn))
+let crash t = t.tree.img
 
 let apply_op t = function
   | Nvlog.Create_vol { vol; vvbn_space } ->
       if volume t vol = None then begin
         let v = Volume.create ~id:vol ~vvbn_space in
-        register_volume t v
+        Image.add_volume t.tree v;
+        init_volume_summaries t v
       end
   | Nvlog.Create_file { vol; file } -> (
       let v = volume_exn t vol in
@@ -700,242 +511,83 @@ let recompute_aa_free t =
         (fun (drive, _) ->
           let lo = Geometry.vbn_of geom ~rg ~drive ~dbn:lo_dbn in
           let hi = Geometry.vbn_of geom ~rg ~drive ~dbn:hi_dbn in
-          free := !free + Bitmap_file.count_free_in t.agg_map ~lo ~hi)
+          free := !free + Bitmap_file.count_free_in t.tree.agg_map ~lo ~hi)
         (Geometry.drives_of_rg geom ~rg);
       t.aa_free_tbl.(rg).(aa) <- !free
     done
   done
 
-let recompute_vvbn_regions t vol =
-  let regions = region_free t vol in
-  let vmap = Volume.vol_map vol in
-  Array.iteri
-    (fun r _ ->
-      let lo = r * vvbn_region_bits in
-      let hi = min (Volume.vvbn_space vol - 1) (((r + 1) * vvbn_region_bits) - 1) in
-      regions.(r) <- Bitmap_file.count_free_in vmap ~lo ~hi)
-    regions
+(* Summaries of a freshly loaded tree; snapshot-held blocks are map-free
+   but neither allocatable nor free space. *)
+let derive_summaries t =
+  List.iter (fun (_, v) -> init_volume_summaries t v) t.tree.vols;
+  rebuild_snap_union t;
+  recompute_aa_free t;
+  let held = ref 0 in
+  for pvbn = 0 to Geometry.total_data_blocks t.geom - 1 do
+    if (not (Bitmap_file.mem t.tree.agg_map pvbn)) && snapshot_held t pvbn then begin
+      incr held;
+      adjust_aa_free t pvbn (-1)
+    end
+  done;
+  Counters.set t.counters "snapshot_held_blocks" !held;
+  Counters.set t.counters free_counter (Bitmap_file.free_count t.tree.agg_map - !held)
 
-let recover ?cache_blocks ?queue_depth ?obs eng ~cost pers =
-  let t = mount ?cache_blocks ?queue_depth ?obs ~chaos:no_chaos eng ~cost pers in
+(* The FTL's L2P is volatile: re-derive device fill from the recovered
+   activemap, as the real device rebuilds its map from NAND metadata.
+   (Create-time prefill was already re-applied by Ftl.create; mapping a
+   used pvbn over an aged page just remaps it.) *)
+let preload_ftls t =
   let geom = t.geom in
-  (match pers.p_sb with
-  | None -> ()
-  | Some sb ->
-      t.generation <- sb.Layout.generation;
-      t.cp_count <- sb.Layout.cp_count;
-      (* Aggregate activemap. *)
-      Array.iter
-        (fun (idx, pvbn) ->
-          (match read_meta_block t pvbn "aggmap chunk" with
-          | Layout.Agg_map { index; words } when index = idx ->
-              Bitmap_file.load_block t.agg_map idx words
-          | _ -> raise (Corruption "recovery: aggmap chunk has wrong payload"));
-          ignore (Bitmap_file.set_location t.agg_map idx pvbn))
-        sb.Layout.aggmap_pvbns;
-      Bitmap_file.clear_dirty t.agg_map;
-      (* Volumes. *)
-      List.iter
-        (fun (vr : Layout.vol_rec) ->
-          let v = Volume.of_vol_rec vr in
-          register_volume t v;
-          Array.iter
-            (fun (idx, pvbn) ->
-              match read_meta_block t pvbn "volmap chunk" with
-              | Layout.Vol_map { vol; index; words } when vol = vr.Layout.vol_id && index = idx
-                ->
-                  Bitmap_file.load_block (Volume.vol_map v) idx words
-              | _ -> raise (Corruption "recovery: volmap chunk has wrong payload"))
-            vr.Layout.volmap_pvbns;
-          Bitmap_file.clear_dirty (Volume.vol_map v);
-          Array.iter
-            (fun (idx, pvbn) ->
-              match read_meta_block t pvbn "container chunk" with
-              | Layout.Container { vol; index; entries }
-                when vol = vr.Layout.vol_id && index = idx ->
-                  Volume.load_container_chunk v ~index:idx ~entries
-              | _ -> raise (Corruption "recovery: container chunk has wrong payload"))
-            vr.Layout.container_pvbns;
-          Volume.clear_dirty_containers v;
-          Array.iter
-            (fun (idx, pvbn) ->
-              match read_meta_block t pvbn "inode chunk" with
-              | Layout.Inode_chunk { vol; index; inodes }
-                when vol = vr.Layout.vol_id && index = idx ->
-                  Volume.load_inode_chunk v inodes
-              | _ -> raise (Corruption "recovery: inode chunk has wrong payload"))
-            vr.Layout.inode_chunk_pvbns;
-          Volume.clear_dirty_inode_chunks v;
-          (* File block maps. *)
-          List.iter
-            (fun f ->
-              let rec_ = File.inode_rec f in
-              Array.iter
-                (fun (idx, pvbn) ->
-                  match read_meta_block t pvbn "bmap block" with
-                  | Layout.Bmap { vol; file; index; entries }
-                    when vol = vr.Layout.vol_id && file = File.id f && index = idx ->
-                      File.load_bmap_block f ~index:idx ~entries
-                  | _ -> raise (Corruption "recovery: bmap block has wrong payload"))
-                rec_.Layout.bmap_pvbns;
-              File.clear_dirty_bmap f)
-            (Volume.files v);
-          recompute_vvbn_regions t v;
-          Counters.set t.counters (vol_free_counter vr.Layout.vol_id)
-            (Bitmap_file.free_count (Volume.vol_map v)))
-        sb.Layout.vols;
-      (* Snapshots: rebuild each pinned block set from the snapshot's own
-         persisted activemap chunks. *)
-      List.iter
-        (fun (name, (snap_sb : Layout.superblock)) ->
-          let snap_map = Bitmap_file.create ~bits:(Geometry.total_data_blocks geom) in
-          Array.iter
-            (fun (idx, pvbn) ->
-              match read_meta_block t pvbn "snapshot aggmap chunk" with
-              | Layout.Agg_map { index; words } when index = idx ->
-                  Bitmap_file.load_block snap_map idx words
-              | _ -> raise (Corruption "recovery: snapshot aggmap chunk has wrong payload"))
-            snap_sb.Layout.aggmap_pvbns;
-          t.snaps <-
-            t.snaps @ [ Snapshot.make ~name ~sb:snap_sb ~words:(Bitmap_file.snapshot_words snap_map) ])
-        sb.Layout.snap_roots;
-      rebuild_snap_union t;
-      recompute_aa_free t;
-      (* Subtract snapshot-held blocks from the free space and summaries:
-         they are map-free but not allocatable. *)
-      let held = ref 0 in
-      for pvbn = 0 to Geometry.total_data_blocks geom - 1 do
-        if (not (Bitmap_file.mem t.agg_map pvbn)) && snapshot_held t pvbn then begin
-          incr held;
-          adjust_aa_free t pvbn (-1)
-        end
-      done;
-      Counters.set t.counters "snapshot_held_blocks" !held;
-      Counters.set t.counters free_counter (Bitmap_file.free_count t.agg_map - !held));
+  let per_rg = Array.map (fun _ -> ref []) t.tree.raids in
+  for pvbn = Geometry.total_data_blocks geom - 1 downto 0 do
+    if Bitmap_file.mem t.tree.agg_map pvbn then begin
+      let lpn = (Geometry.drive_of geom pvbn * Geometry.drive_blocks geom) + Geometry.dbn_of geom pvbn in
+      let cell = per_rg.(Geometry.rg_of geom pvbn) in
+      cell := lpn :: !cell
+    end
+  done;
+  Array.iteri
+    (fun rg cell ->
+      match Raid.flash t.tree.raids.(rg) with
+      | Some ftl -> Wafl_flash.Ftl.preload ftl !cell
+      | None -> ())
+    per_rg
+
+let recover ?cache_blocks ?queue_depth ?obs eng ~cost img =
+  let t = mount ?cache_blocks ?queue_depth ?obs ~chaos:no_chaos eng ~cost img in
+  t.snaps <- Image.load t.tree;
+  if Image.superblock img <> None then derive_summaries t;
   (* Replay the surviving NVRAM log on top of the recovered tree. *)
-  let ops = Nvlog.replay_ops pers.p_nvlog in
-  Nvlog.recover_reset pers.p_nvlog;
+  let ops = Nvlog.replay_ops (Image.nvlog img) in
+  Nvlog.recover_reset (Image.nvlog img);
   List.iter (apply_op t) ops;
-  (* The FTL's L2P is volatile: re-derive device fill from the recovered
-     activemap, as the real device rebuilds its map from NAND metadata.
-     (Create-time prefill was already re-applied by Ftl.create; mapping a
-     used pvbn over an aged page just remaps it.) *)
-  if t.flash_on then begin
-    let per_rg = Array.map (fun _ -> ref []) t.raids in
-    for pvbn = Geometry.total_data_blocks geom - 1 downto 0 do
-      if Bitmap_file.mem t.agg_map pvbn then begin
-        let lpn = (Geometry.drive_of geom pvbn * Geometry.drive_blocks geom) + Geometry.dbn_of geom pvbn in
-        let cell = per_rg.(Geometry.rg_of geom pvbn) in
-        cell := lpn :: !cell
-      end
-    done;
-    Array.iteri
-      (fun rg cell ->
-        match Raid.flash t.raids.(rg) with
-        | Some ftl -> Wafl_flash.Ftl.preload ftl !cell
-        | None -> ())
-      per_rg
-  end;
+  if t.flash_on then preload_ftls t;
   t
 
 (* --- integrity checking --- *)
 
 let fail_fsck fmt = Printf.ksprintf (fun s -> failwith ("fsck: " ^ s)) fmt
 
+(* The summary checks recompute their expected values from the maps
+   here, independently of [derive_summaries]: fsck is the reference. *)
 let fsck t =
   if t.cp_in_progress then fail_fsck "called with a CP in flight";
-  let used_pvbns = Hashtbl.create 4096 in
-  let claim_pvbn pvbn what =
-    if not (Geometry.vbn_valid t.geom pvbn) then fail_fsck "%s: invalid pvbn %d" what pvbn;
-    (match Hashtbl.find_opt used_pvbns pvbn with
-    | Some other -> fail_fsck "pvbn %d claimed by both %s and %s" pvbn other what
-    | None -> Hashtbl.add used_pvbns pvbn what);
-    if not (Bitmap_file.mem t.agg_map pvbn) then
-      fail_fsck "%s: pvbn %d not marked used in aggregate map" what pvbn
-  in
-  (* Aggregate map chunk locations. *)
-  for i = 0 to Bitmap_file.nblocks t.agg_map - 1 do
-    let loc = Bitmap_file.location t.agg_map i in
-    if loc >= 0 then claim_pvbn loc (Printf.sprintf "aggmap chunk %d" i)
-  done;
-  List.iter
-    (fun (vid, v) ->
-      let used_vvbns = Hashtbl.create 4096 in
-      let vmap = Volume.vol_map v in
-      for i = 0 to Bitmap_file.nblocks vmap - 1 do
-        let loc = Bitmap_file.location vmap i in
-        if loc >= 0 then claim_pvbn loc (Printf.sprintf "vol %d volmap chunk %d" vid i)
-      done;
-      List.iter
-        (fun idx -> claim_pvbn (Volume.container_location v idx)
-            (Printf.sprintf "vol %d container chunk %d" vid idx))
-        (List.filter
-           (fun idx -> Volume.container_location v idx >= 0)
-           (List.init
-              ((Volume.vvbn_space v + Layout.entries_per_container_block - 1)
-              / Layout.entries_per_container_block)
-              Fun.id));
-      List.iter
-        (fun idx ->
-          claim_pvbn (Volume.inode_location v idx) (Printf.sprintf "vol %d inode chunk %d" vid idx))
-        (List.filter
-           (fun idx -> Volume.inode_location v idx >= 0)
-           (List.init ((Volume.file_count v / Layout.inodes_per_block) + 1) Fun.id));
-      List.iter
-        (fun f ->
-          let rec_ = File.inode_rec f in
-          Array.iter
-            (fun (idx, pvbn) ->
-              claim_pvbn pvbn (Printf.sprintf "vol %d file %d bmap %d" vid (File.id f) idx))
-            rec_.Layout.bmap_pvbns;
-          for fbn = 0 to File.nfbns f - 1 do
-            let vvbn = File.vvbn_of_fbn f fbn in
-            if vvbn >= 0 then begin
-              (match Hashtbl.find_opt used_vvbns vvbn with
-              | Some other ->
-                  fail_fsck "vol %d vvbn %d claimed by both %s and file %d/%d" vid vvbn other
-                    (File.id f) fbn
-              | None ->
-                  Hashtbl.add used_vvbns vvbn (Printf.sprintf "file %d/%d" (File.id f) fbn));
-              if not (Bitmap_file.mem vmap vvbn) then
-                fail_fsck "vol %d: vvbn %d referenced but free in volume map" vid vvbn;
-              let pvbn = Volume.pvbn_of_vvbn v vvbn in
-              if pvbn < 0 then fail_fsck "vol %d: vvbn %d has no container entry" vid vvbn;
-              claim_pvbn pvbn (Printf.sprintf "vol %d vvbn %d" vid vvbn)
-            end
-          done)
-        (Volume.files v);
-      (* Every used vvbn must be referenced by exactly one (file, fbn). *)
-      if Bitmap_file.used_count vmap <> Hashtbl.length used_vvbns then
-        fail_fsck "vol %d: volume map says %d used vvbns but %d are referenced" vid
-          (Bitmap_file.used_count vmap) (Hashtbl.length used_vvbns);
-      (* Container entries must exist only for used vvbns. *)
-      for vvbn = 0 to Volume.vvbn_space v - 1 do
-        let mapped = Volume.pvbn_of_vvbn v vvbn >= 0 in
-        let used = Bitmap_file.mem vmap vvbn in
-        if mapped <> used then
-          fail_fsck "vol %d: vvbn %d container/%s activemap mismatch" vid vvbn
-            (if used then "used" else "free")
-      done;
+  Image.audit t.tree ~check_volume:(fun vid v ->
       let counter = Counters.read t.counters (vol_free_counter vid) in
-      if counter <> Bitmap_file.free_count vmap then
-        fail_fsck "vol %d: free counter %d but volume map says %d" vid counter
-          (Bitmap_file.free_count vmap))
-    t.vols;
-  (* No leaked pvbns: everything marked used must have been claimed. *)
-  if Bitmap_file.used_count t.agg_map <> Hashtbl.length used_pvbns then
-    fail_fsck "aggregate map says %d used pvbns but %d are referenced"
-      (Bitmap_file.used_count t.agg_map) (Hashtbl.length used_pvbns);
+      let free = Bitmap_file.free_count (Volume.vol_map v) in
+      if counter <> free then
+        fail_fsck "vol %d: free counter %d but volume map says %d" vid counter free);
   (* Snapshot-held blocks are map-free but not free space. *)
   let held_only = ref 0 in
   if t.snaps <> [] then
     for pvbn = 0 to Geometry.total_data_blocks t.geom - 1 do
-      if (not (Bitmap_file.mem t.agg_map pvbn)) && snapshot_held t pvbn then incr held_only
+      if (not (Bitmap_file.mem t.tree.agg_map pvbn)) && snapshot_held t pvbn then incr held_only
     done;
   let counter = Counters.read t.counters free_counter in
-  if counter <> Bitmap_file.free_count t.agg_map - !held_only then
+  if counter <> Bitmap_file.free_count t.tree.agg_map - !held_only then
     fail_fsck "aggregate free counter %d but activemap says %d (%d snapshot-held)" counter
-      (Bitmap_file.free_count t.agg_map) !held_only;
+      (Bitmap_file.free_count t.tree.agg_map) !held_only;
   let held_counter = Counters.read t.counters "snapshot_held_blocks" in
   if held_counter <> !held_only then
     fail_fsck "snapshot-held counter %d but %d blocks are held-only" held_counter !held_only;
@@ -948,10 +600,10 @@ let fsck t =
         (fun (drive, _) ->
           let lo = Geometry.vbn_of t.geom ~rg ~drive ~dbn:lo_dbn in
           let hi = Geometry.vbn_of t.geom ~rg ~drive ~dbn:hi_dbn in
-          free := !free + Bitmap_file.count_free_in t.agg_map ~lo ~hi;
+          free := !free + Bitmap_file.count_free_in t.tree.agg_map ~lo ~hi;
           if t.snaps <> [] then
             for pvbn = lo to hi do
-              if (not (Bitmap_file.mem t.agg_map pvbn)) && snapshot_held t pvbn then decr free
+              if (not (Bitmap_file.mem t.tree.agg_map pvbn)) && snapshot_held t pvbn then decr free
             done)
         (Geometry.drives_of_rg t.geom ~rg);
       if !free <> t.aa_free_tbl.(rg).(aa) then

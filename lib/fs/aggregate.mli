@@ -8,26 +8,18 @@
     points assume the caller holds the appropriate serialization (an
     affinity or a cleaner-owned structure), exactly as in WAFL.
 
-    Crash semantics: {!crash} returns the {!persist} handle (disk,
+    The on-disk metafile tree — its block names, serialization,
+    superblock, checked reads, recovery load and fsck tree audit — is
+    {!Image}'s; this module keeps the live state built on it and the
+    summaries derived from it (free and snapshot-held counters, the
+    Allocation Area free table, vvbn regions).
+
+    Crash semantics: {!crash} returns the {!Image.t} handle (disk,
     superblock, NVRAM log) and abandons all volatile state; {!recover}
-    mounts a fresh instance from it and replays the log. *)
+    mounts a fresh instance from it, loads the tree, derives the
+    summaries and replays the log. *)
 
 type t
-
-type meta_ref =
-  | Bmap_block of { vol : int; file : int; index : int }
-  | Inode_chunk of { vol : int; index : int }
-  | Container_chunk of { vol : int; index : int }
-  | Vol_map_chunk of { vol : int; index : int }
-  | Agg_map_chunk of { index : int }
-
-type persist
-(** What survives a crash: the disk image, the last durable superblock
-    and the NVRAM log. *)
-
-exception Corruption of string
-(** Raised by {!read} when an on-disk block does not match the metadata
-    that references it — the invariant a broken allocator violates. *)
 
 type chaos = {
   publish_before_quiesce : bool;
@@ -75,6 +67,9 @@ val engine : t -> Wafl_sim.Engine.t
 val cost : t -> Wafl_sim.Cost.t
 val chaos : t -> chaos
 val geometry : t -> Wafl_storage.Geometry.t
+val tree : t -> Image.tree
+(** The mounted metafile tree, for the {!Image} operations. *)
+
 val disk : t -> Layout.block Wafl_storage.Disk.t
 val raid : t -> rg:int -> Layout.block Wafl_storage.Raid.t
 val raid_groups : t -> Layout.block Wafl_storage.Raid.t array
@@ -85,12 +80,6 @@ val counters : t -> Counters.t
     Statistics live in the engine's registry instead. *)
 
 val agg_map : t -> Bitmap_file.t
-
-val flash_enabled : t -> bool
-
-val ftls : t -> Wafl_flash.Ftl.t list
-(** The per-RAID-group FTLs, in group order; empty without a media
-    model. *)
 
 val set_stream_classifier : t -> (Layout.block -> int) -> unit
 (** Route tetris payloads to flash write streams (hot metafiles vs cold
@@ -120,7 +109,10 @@ val write :
     unreachable. *)
 
 val read : t -> vol:int -> file:int -> fbn:int -> int64 option
-(** Dirty buffers first, then the on-disk tree.  [None] for holes. *)
+(** Dirty buffers first, then the on-disk tree.  [None] for holes.
+    Raises {!Image.Corruption} when the on-disk block does not match the
+    metadata that references it — the invariant a broken allocator
+    violates. *)
 
 val read_cached_status :
   t -> vol:int -> file:int -> fbn:int -> int64 option * [ `Buffered | `Hit | `Miss ]
@@ -129,11 +121,6 @@ val read_cached_status :
     the miss cost). *)
 
 val buffer_cache : t -> Buffer_cache.t
-
-val read_pvbn : t -> int -> Layout.block option
-(** Fault-aware physical read: goes through {!Raid.read} so latent media
-    errors and degraded groups are reconstructed from the parity model.
-    Raises {!Corruption} on a double failure ([`Lost]). *)
 
 val wait_for_log_space : t -> unit
 (** Write-admission throttle; call once before each {!write}.
@@ -176,56 +163,15 @@ val select_vvbn_region : t -> vol:Volume.t -> exclude:int list -> int option
 val vvbn_region_free : t -> vol:Volume.t -> region:int -> int
 val vvbn_region_bits : int
 
-(** {1 Sanitizer data domains}
-
-    Canonical shared-state ids for [Engine.probe] and the
-    {!Wafl_waffinity.Isolation} owner map: one domain per metafile map
-    block, the partition-private unit the affinity rules protect
-    (DESIGN.md §4.7). *)
-
-val agg_map_domain : index:int -> string
-val vol_map_domain : vol:int -> index:int -> string
-
-val pvbn_domain : int -> string
-(** Domain of the aggregate-map block covering this pvbn. *)
-
-val vvbn_domain : vol:int -> int -> string
-(** Domain of the volume-map block covering this vvbn. *)
-
 (** {1 Consistency-point support} *)
 
 val cp_snapshot : t -> (Volume.t * File.t list) list
 (** Atomically freeze the dirty state of every volume and rotate the
     NVRAM log halves; returns each volume's cleaning work. *)
 
-val take_dirty_meta : t -> meta_ref list
-(** Dirty metafile blocks in dependency order (bmap, inode, container,
-    volume map, aggregate map), clearing the dirty flags.  Metafile
-    relocation during the CP re-dirties blocks; the CP engine calls this
-    repeatedly until it returns []. *)
-
-val meta_payload : t -> meta_ref -> Layout.block
-(** Serialize a metafile block for writing.  Must be called after all
-    location assignments of the current pass ({!meta_set_location}). *)
-
-val meta_location : t -> meta_ref -> int
-(** Current on-disk pvbn of a metafile block, or -1 when it was never
-    placed or its owning volume/file no longer exists.  The CP repair
-    phase uses this to check that a failed metafile write is still the
-    current location before re-allocating it. *)
-
-val meta_set_location : t -> meta_ref -> int -> int
-(** Record a metafile block's new pvbn; returns the previous one (-1 if
-    none), which the caller must free. *)
-
-val make_superblock : t -> Layout.superblock
-val publish_superblock : t -> Layout.superblock -> unit
-(** Make the superblock durable, commit the NVRAM log half, thaw
-    recently freed VBNs, and bump the generation. *)
-
-val superblock : t -> Layout.superblock option
-val generation : t -> int
-val cp_count : t -> int
+val cp_done : t -> unit
+(** After {!Image.publish}: thaw the VBNs this CP's frees froze, finish
+    each volume's CP and re-admit writers parked on NVRAM space. *)
 
 (** {1 Snapshots} *)
 
@@ -239,29 +185,29 @@ val find_snapshot : t -> string -> Snapshot.t option
 val snapshot_held : t -> int -> bool
 (** Whether any snapshot references the given pvbn. *)
 
-val read_snapshot : t -> Snapshot.t -> vol:int -> file:int -> fbn:int -> int64 option
 val delete_snapshot : t -> Snapshot.t -> unit
 (** Release the snapshot; blocks no longer referenced by the active tree
     or another snapshot become allocatable again. *)
 
 (** {1 Crash and recovery} *)
 
-val persist : t -> persist
-val crash : t -> persist
+val crash : t -> Image.t
 val recover :
   ?cache_blocks:int ->
   ?queue_depth:int ->
   ?obs:Wafl_obs.Trace.t ->
   Wafl_sim.Engine.t ->
   cost:Wafl_sim.Cost.t ->
-  persist ->
+  Image.t ->
   t
-(** Mount from the persistent image: load the superblock tree, recompute
-    allocation summaries and counters, then replay the NVRAM log. *)
+(** Mount from the persistent image: load the superblock tree
+    ({!Image.load}; raises {!Image.Corruption} on a missing or
+    mismatched block), recompute allocation summaries and counters,
+    replay the NVRAM log, then re-derive the FTLs' fill. *)
 
 (** {1 Integrity checking (tests)} *)
 
 val fsck : t -> unit
-(** Full cross-check of block maps, container maps, activemaps and
-    counters.  Raises [Failure] with a description on any inconsistency.
+(** Full cross-check: the tree audit ({!Image.audit}) of block maps,
+    container maps and activemaps, then the counters and summaries.  Raises [Failure] with a description on any inconsistency.
     Call at quiescent points (no CP in flight). *)

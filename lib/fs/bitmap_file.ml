@@ -115,10 +115,6 @@ let words_scanned t = t.scanned
 let dirty_blocks t =
   Hashtbl.fold (fun k () acc -> k :: acc) t.dirty [] |> List.sort Int.compare (* lint-ok: sorted *)
 
-let dirty_blocks_desc t =
-  Hashtbl.fold (fun k () acc -> k :: acc) t.dirty [] (* lint-ok: sorted below *)
-  |> List.sort (fun a b -> Int.compare b a)
-
 let dirty_count t = Hashtbl.length t.dirty
 
 let clear_dirty t =
@@ -153,3 +149,11 @@ let set_location t i pvbn =
   let old = Intvec.get t.locations i in
   Intvec.set t.locations i pvbn;
   old
+
+let locations t =
+  let acc = ref [] in
+  for i = nblocks t - 1 downto 0 do
+    let loc = location t i in
+    if loc >= 0 then acc := (i, loc) :: !acc
+  done;
+  Array.of_list !acc

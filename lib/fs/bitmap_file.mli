@@ -47,10 +47,6 @@ val dirty_blocks : t -> int list
 (** Metafile blocks with bits toggled since the last [clear_dirty],
     ascending. *)
 
-val dirty_blocks_desc : t -> int list
-(** [dirty_blocks] in descending order, for prepend-accumulator callers
-    that would otherwise reverse the ascending list. *)
-
 val dirty_count : t -> int
 val mark_dirty : t -> int -> unit
 (** Explicitly dirty a block (used when relocating the block itself). *)
@@ -72,3 +68,7 @@ val location : t -> int -> int
 val set_location : t -> int -> int -> int
 (** [set_location t i pvbn] records the new location and returns the
     previous one (-1 if none) so the caller can free it. *)
+
+val locations : t -> (int * int) array
+(** Every placed metafile block as [(block index, pvbn)], ascending by
+    index — the location table a superblock or volume record persists. *)

@@ -80,10 +80,6 @@ let cp_done t =
 let dirty_bmap_blocks t =
   Hashtbl.fold (fun k () acc -> k :: acc) t.dirty_bmap [] |> List.sort Int.compare (* lint-ok *)
 
-let dirty_bmap_blocks_desc t =
-  Hashtbl.fold (fun k () acc -> k :: acc) t.dirty_bmap [] (* lint-ok: sorted below *)
-  |> List.sort (fun a b -> Int.compare b a)
-
 let bmap_entries t index =
   let base = index * Layout.entries_per_bmap_block in
   Intvec.extract t.bmap ~pos:base ~len:Layout.entries_per_bmap_block

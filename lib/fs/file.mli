@@ -52,9 +52,6 @@ val cp_done : t -> unit
 
 val dirty_bmap_blocks : t -> int list
 
-val dirty_bmap_blocks_desc : t -> int list
-(** Descending-order variant for prepend-accumulator callers. *)
-
 val bmap_entries : t -> int -> int array
 (** Serialized entries of bmap block [i] (length
     {!Layout.entries_per_bmap_block}). *)

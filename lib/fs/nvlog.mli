@@ -4,8 +4,8 @@
     client can be answered before the data reaches disk; a consistency
     point later flushes the accumulated state, after which the covered
     log prefix is discarded.  The log content survives a simulated crash
-    ({!Aggregate.crash} keeps it), and recovery replays it on top of the
-    last committed CP.
+    (it is part of the persistent {!Image.t}), and recovery replays it on
+    top of the last committed CP.
 
     The log has two halves, as in ONTAP: while a CP drains one half, new
     operations fill the other.  {!append} reports when the filling half
@@ -39,7 +39,7 @@ val create : ?half_capacity:int -> ?watermarks:watermarks -> unit -> t
     can hold before a CP should be triggered.  [watermarks] (default
     none: legacy nearly-full throttling only) enables watermark
     back-pressure in {!Aggregate.wait_for_log_space}; it lives with the
-    log so it survives {!Aggregate.crash}/[recover]. *)
+    log in the {!Image.t}, so it survives a crash and recovery. *)
 
 val append : t -> op -> [ `Ok | `Half_full ]
 (** Log an operation into the filling half.  Returns [`Half_full] when

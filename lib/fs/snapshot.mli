@@ -5,11 +5,12 @@
     CP (the set of pvbns the snapshot references).  Because WAFL never
     overwrites in place, none of those blocks change afterwards — the
     active file system simply stops freeing them for reuse while the
-    snapshot exists ({!Aggregate.pvbn_allocatable} consults {!holds}).
+    snapshot exists ({!Aggregate.pvbn_allocatable} consults {!held_words}).
 
-    Reads against a snapshot walk the persisted structures directly:
-    superblock → inode chunk → block-map block → container chunk → data
-    block, touching nothing in the live file system. *)
+    Reads against a snapshot ({!Image.read_snapshot}) walk the persisted
+    structures directly: superblock → inode chunk → block-map block →
+    container chunk → data block, touching nothing in the live file
+    system. *)
 
 type t
 
@@ -19,14 +20,5 @@ val generation : t -> int
 (** The CP generation this snapshot pins. *)
 
 val superblock : t -> Layout.superblock
-val holds : t -> int -> bool
-(** Whether the snapshot references the given pvbn. *)
-
 val held_words : t -> Wafl_util.Bitops.words
 (** The raw pinned-block words (not a copy; treat as read-only). *)
-
-val read :
-  t -> disk:Layout.block Wafl_storage.Disk.t -> vol:int -> file:int -> fbn:int -> int64 option
-(** Read a block as of the snapshot.  [None] for holes or absent
-    files/volumes; raises [Failure] if the persisted structure is
-    malformed (which a correct allocator can never cause). *)

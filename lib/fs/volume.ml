@@ -135,12 +135,7 @@ let clear_recent_frees t = Bitops.clear_words t.recent_frees
 
 let sorted_keys tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort Int.compare (* lint-ok *)
 
-let sorted_keys_desc tbl =
-  Hashtbl.fold (fun k () acc -> k :: acc) tbl [] (* lint-ok: sorted below *)
-  |> List.sort (fun a b -> Int.compare b a)
-
 let dirty_container_chunks t = sorted_keys t.dirty_containers
-let dirty_container_chunks_desc t = sorted_keys_desc t.dirty_containers
 
 let container_entries t index =
   let base = index * Layout.entries_per_container_block in
@@ -157,7 +152,6 @@ let clear_dirty_containers t =
   Hashtbl.clear t.dirty_containers;
   t.last_dirty_container <- -1
 let dirty_inode_chunks t = sorted_keys t.dirty_inodes
-let dirty_inode_chunks_desc t = sorted_keys_desc t.dirty_inodes
 
 let inode_chunk t index =
   let base = index * Layout.inodes_per_block in
@@ -187,13 +181,7 @@ let to_vol_rec t =
     vvbn_space = t.vvbn_space;
     inode_chunk_pvbns = locations_array t.inode_locations;
     container_pvbns = locations_array t.container_locations;
-    volmap_pvbns =
-      (let acc = ref [] in
-       for i = Bitmap_file.nblocks t.vol_map - 1 downto 0 do
-         let loc = Bitmap_file.location t.vol_map i in
-         if loc >= 0 then acc := (i, loc) :: !acc
-       done;
-       Array.of_list !acc);
+    volmap_pvbns = Bitmap_file.locations t.vol_map;
   }
 
 let of_vol_rec (r : Layout.vol_rec) =

@@ -72,17 +72,11 @@ val clear_recent_frees : t -> unit
 val mark_inode_dirty : t -> File.t -> unit
 val dirty_container_chunks : t -> int list
 
-val dirty_container_chunks_desc : t -> int list
-(** Descending-order variant for prepend-accumulator callers. *)
-
 val container_entries : t -> int -> int array
 val container_location : t -> int -> int
 val set_container_location : t -> int -> int -> int
 val clear_dirty_containers : t -> unit
 val dirty_inode_chunks : t -> int list
-
-val dirty_inode_chunks_desc : t -> int list
-(** Descending-order variant for prepend-accumulator callers. *)
 
 val inode_chunk : t -> int -> Layout.inode_rec list
 val inode_location : t -> int -> int

@@ -75,8 +75,10 @@ let flash_config =
     streams = 2;
   }
 
-let run_one ?(ops = 100_000) ?(fbn_space = 700) ?(horizon = 60_000.0) ?(sanitize = false)
-    ?(overload = false) ?(flash = false) ?chaos ~seed () =
+(* Workload step: a stack with the seed's fault plan on its disk and a
+   writer fiber.  [oplog] mirrors every acknowledged operation, newest
+   first; as the only nvlog client, its tail is the nvlog's tail. *)
+let start_workload ~ops ~fbn_space ~horizon ~sanitize ~overload ~flash ?chaos ~seed () =
   let geom = geometry () in
   let plan =
     Fault.random ~seed ~total_vbns:(Geometry.total_data_blocks geom) ~raid_groups ~drive_blocks
@@ -94,10 +96,6 @@ let run_one ?(ops = 100_000) ?(fbn_space = 700) ?(horizon = 60_000.0) ?(sanitize
   let cfg = { Wafl_core.Walloc.default_config with cp_timer = Some 6_000.0 } in
   let walloc = Wafl_core.Walloc.create agg cfg in
   let r = Wafl_util.Rng.create ~seed:(seed lxor 0x2545f491) in
-  (* Ordered mirror of every operation this harness acknowledged (newest
-     first).  The harness is the only nvlog client, so the mirror's tail
-     is exactly the nvlog's tail: the torn records at crash are the
-     newest [torn] entries here. *)
   let oplog = ref [] in
   ignore
     (Engine.spawn eng ~label:"client" (fun () ->
@@ -141,59 +139,64 @@ let run_one ?(ops = 100_000) ?(fbn_space = 700) ?(horizon = 60_000.0) ?(sanitize
            | `Log_exhausted -> ());
            if not overload then Engine.consume 3.0
          done));
-  let crash_time = Fault.crash_at plan in
-  Engine.run ~until:crash_time eng;
-  let cp = Wafl_core.Walloc.cp walloc in
-  let mid_cp = Wafl_core.Cp.running cp in
-  let cp_phase = Wafl_core.Cp.phase cp in
-  let cps_before_crash = Wafl_core.Cp.cps_completed cp in
-  let stat name = Metrics.counter_value (Engine.metrics eng) name in
-  let count name = int_of_float (stat name) in
-  let disk_failure_active = Array.exists Raid.degraded (Aggregate.raid_groups agg) in
-  (* The crash tears the scheduled NVRAM tail: those records' DMA was in
-     flight, so their acknowledgements never left the box — retract them
-     from the oracle. *)
-  let torn_ops = Nvlog.tear (Aggregate.nvlog agg) ~records:(Fault.torn_tail plan) in
-  let torn = List.length torn_ops in
-  let rec drop k l = if k = 0 then l else match l with [] -> [] | _ :: tl -> drop (k - 1) tl in
-  let surviving = List.rev (drop torn !oplog) in
-  let expected = expected_state surviving in
-  let pers = Aggregate.crash agg in
-  let lost = ref 0 in
-  let fsck_failure = ref None in
-  let races = ref (Engine.race_report_count eng) in
-  (match
-     try `Ok (Aggregate.recover (Engine.create ~cores:8 ~sanitize ()) ~cost:Cost.default pers)
-     with Aggregate.Corruption m -> `Corrupt m
-   with
-  | `Corrupt m ->
-      fsck_failure := Some m;
-      lost := Hashtbl.length expected
-  | `Ok agg2 ->
+  (plan, eng, agg, walloc, oplog)
+
+(* Crash step: tear the scheduled NVRAM tail (those acknowledgements
+   never left the box, so the oracle drops them) and keep only the
+   persistent image. *)
+let crash agg plan oplog =
+  let torn = List.length (Nvlog.tear (Aggregate.nvlog agg) ~records:(Fault.torn_tail plan)) in
+  let expected = expected_state (List.rev (List.filteri (fun i _ -> i >= torn) oplog)) in
+  (Aggregate.crash agg, expected, torn)
+
+(* Verify step: recover, flush the replay with a CP through the still
+   degraded substrate (the repair path), read back every expected block
+   and fsck.  Returns (lost, failure, recovery race reports). *)
+let verify image ~sanitize expected =
+  match Aggregate.recover (Engine.create ~cores:8 ~sanitize ()) ~cost:Cost.default image with
+  | exception Image.Corruption m -> (Hashtbl.length expected, Some m, 0)
+  | agg2 ->
       let eng2 = Aggregate.engine agg2 in
       let walloc2 = Wafl_core.Walloc.create agg2 Wafl_core.Walloc.default_config in
+      let lost = ref 0 in
       (* Sorted oracle walk: the reads consume virtual time, so hash-order
          iteration would make the verification run seed-dependent. *)
       let keys = Hashtbl.fold (fun k _ acc -> k :: acc) expected [] in (* lint-ok: sorted below *)
       let keys = List.sort compare keys in
       ignore
         (Engine.spawn eng2 ~label:"verify" (fun () ->
-             (* A post-recovery CP flushes the replayed state through the
-                still-degraded substrate, exercising the repair path. *)
              Wafl_core.Cp.run_now (Wafl_core.Walloc.cp walloc2);
              List.iter
                (fun ((vol, file, fbn) as k) ->
                  let content = Hashtbl.find expected k in
                  match
                    try Aggregate.read agg2 ~vol ~file ~fbn
-                   with Aggregate.Corruption _ -> None
+                   with Image.Corruption _ -> None
                  with
                  | Some c when c = content -> ()
                  | _ -> incr lost)
                keys));
       Engine.run eng2;
-      races := !races + Engine.race_report_count eng2;
-      try Aggregate.fsck agg2 with Failure m -> fsck_failure := Some m);
+      let races = Engine.race_report_count eng2 in
+      let fsck_failure = try Aggregate.fsck agg2; None with Failure m -> Some m in
+      (!lost, fsck_failure, races)
+
+let run_one ?(ops = 100_000) ?(fbn_space = 700) ?(horizon = 60_000.0) ?(sanitize = false)
+    ?(overload = false) ?(flash = false) ?chaos ~seed () =
+  let plan, eng, agg, walloc, oplog =
+    start_workload ~ops ~fbn_space ~horizon ~sanitize ~overload ~flash ?chaos ~seed ()
+  in
+  let crash_time = Fault.crash_at plan in
+  Engine.run ~until:crash_time eng;
+  let cp = Wafl_core.Walloc.cp walloc in
+  let mid_cp = Wafl_core.Cp.running cp in
+  let cp_phase = Wafl_core.Cp.phase cp in
+  let cps_before_crash = Wafl_core.Cp.cps_completed cp in
+  let disk_failure_active = Array.exists Raid.degraded (Aggregate.raid_groups agg) in
+  let image, expected, torn = crash agg plan !oplog in
+  let lost, fsck_failure, recovery_races = verify image ~sanitize expected in
+  let stat name = Metrics.counter_value (Engine.metrics eng) name in
+  let count name = int_of_float (stat name) in
   {
     seed;
     crash_time;
@@ -202,8 +205,8 @@ let run_one ?(ops = 100_000) ?(fbn_space = 700) ?(horizon = 60_000.0) ?(sanitize
     cps_before_crash;
     acked = Hashtbl.length expected;
     torn;
-    lost = !lost;
-    fsck_failure = !fsck_failure;
+    lost;
+    fsck_failure;
     disk_failure_active;
     media_errors = Fault.media_errors_seen plan;
     transient_retries = Fault.transient_retries plan;
@@ -214,7 +217,7 @@ let run_one ?(ops = 100_000) ?(fbn_space = 700) ?(horizon = 60_000.0) ?(sanitize
     exhausted_writes = count "nvlog.exhausted_writes";
     flash_gc_pages = count "flash.gc_pages";
     flash_erases = count "flash.erases";
-    races = !races;
+    races = Engine.race_report_count eng + recovery_races;
   }
 
 let passed o = o.lost = 0 && o.fsck_failure = None

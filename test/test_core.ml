@@ -276,7 +276,12 @@ let test_pool_cleans_and_is_idempotent_on_wait () =
       Cleaner_pool.flush_and_wait pool;
       (* Finish the CP so the aggregate is reusable. *)
       Infra.quiesce_commits (Walloc.infra st.walloc);
-      Aggregate.publish_superblock st.agg (Aggregate.make_superblock st.agg))
+      let tree = Aggregate.tree st.agg in
+      Image.publish tree
+        (Image.encode tree
+           ~free_blocks:(Counters.read (Aggregate.counters st.agg) "agg_free_blocks")
+           ~snapshots:[]);
+      Aggregate.cp_done st.agg)
 
 let test_pool_set_active_clamps () =
   let st = make_stack () in

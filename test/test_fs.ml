@@ -94,7 +94,11 @@ let test_bitmap_locations () =
   Alcotest.(check int) "unknown" (-1) (Bitmap_file.location b 0);
   Alcotest.(check int) "old none" (-1) (Bitmap_file.set_location b 0 500);
   Alcotest.(check int) "old returned" 500 (Bitmap_file.set_location b 0 900);
-  Alcotest.(check int) "current" 900 (Bitmap_file.location b 0)
+  Alcotest.(check int) "current" 900 (Bitmap_file.location b 0);
+  Alcotest.(check (array (pair int int))) "one placed" [| (0, 900) |] (Bitmap_file.locations b);
+  ignore (Bitmap_file.set_location b 1 42);
+  Alcotest.(check (array (pair int int)))
+    "ascending by index" [| (0, 900); (1, 42) |] (Bitmap_file.locations b)
 
 let prop_bitmap_free_count_consistent =
   QCheck.Test.make ~name:"free count matches bit population" ~count:100

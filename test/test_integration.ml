@@ -338,6 +338,26 @@ let test_delete_file_reclaims_space () =
     true
     (free_after >= !free_before - 64)
 
+(* fsck claims every placed inode chunk, not only the chunks below the
+   live file count: deleting low-numbered files leaves higher chunks
+   placed while the count drops under their range. *)
+let test_fsck_after_low_files_deleted () =
+  let env = make_env () in
+  in_sim env (fun () ->
+      let files =
+        List.init (Layout.inodes_per_block + 1) (fun _ ->
+            Aggregate.create_file env.agg ~vol:(Volume.id env.vol))
+      in
+      List.iter (fun f -> write_file env ~file:(File.id f) ~blocks:1 ~gen:0) files;
+      run_cp env;
+      List.iteri
+        (fun i f ->
+          if i < 2 then Aggregate.delete_file env.agg ~vol:(Volume.id env.vol) ~file:(File.id f))
+        files;
+      run_cp env);
+  Alcotest.(check int) "files left" (Layout.inodes_per_block - 1) (Volume.file_count env.vol);
+  Aggregate.fsck env.agg
+
 let test_delete_survives_crash_replay () =
   let env = make_env () in
   in_sim env (fun () ->
@@ -449,6 +469,90 @@ let prop_crash_anywhere_loses_nothing =
             journal);
       !ok)
 
+(* --- recovery's checked reads --- *)
+
+let recover_error img =
+  match Aggregate.recover (Engine.create ~cores:8 ()) ~cost:Cost.default img with
+  | _ -> None
+  | exception Image.Corruption m -> Some m
+
+(* One row per metafile kind recovery loads: a wrong payload planted at
+   the superblock-listed pvbn must stop the mount with that kind's
+   message.  Each row restores the block before the next, so the
+   earlier kinds load cleanly. *)
+let check_wrong_payloads () =
+  let env = make_env () in
+  let file = ref None in
+  in_sim env (fun () ->
+      let f = Aggregate.create_file env.agg ~vol:(Volume.id env.vol) in
+      file := Some f;
+      write_file env ~file:(File.id f) ~blocks:100 ~gen:0;
+      run_cp env;
+      ignore (Aggregate.create_snapshot env.agg ~name:"pinned");
+      write_file env ~file:(File.id f) ~blocks:100 ~gen:1;
+      run_cp env);
+  let img = Aggregate.crash env.agg in
+  let sb = Option.get (Image.superblock img) in
+  let vr = List.hd sb.Layout.vols in
+  let _, snap_sb = List.hd sb.Layout.snap_roots in
+  let first locations = snd locations.(0) in
+  let disk = Image.disk img in
+  let planted = Layout.Data { vol = 0; file = 0; fbn = 0; content = 0L } in
+  List.iter
+    (fun (kind, pvbn) ->
+      let saved = Option.get (Wafl_storage.Disk.read disk pvbn) in
+      Wafl_storage.Disk.write disk pvbn planted;
+      Alcotest.(check (option string)) kind
+        (Some (Printf.sprintf "recovery: %s has wrong payload" kind))
+        (recover_error img);
+      Wafl_storage.Disk.write disk pvbn saved)
+    [
+      ("aggmap chunk", first sb.Layout.aggmap_pvbns);
+      ("volmap chunk", first vr.Layout.volmap_pvbns);
+      ("container chunk", first vr.Layout.container_pvbns);
+      ("inode chunk", first vr.Layout.inode_chunk_pvbns);
+      ("bmap block", File.bmap_location (Option.get !file) 0);
+      ("snapshot aggmap chunk", first snap_sb.Layout.aggmap_pvbns);
+    ];
+  Alcotest.(check (option string)) "restored image mounts" None (recover_error img)
+
+(* A superblock published before its blocks reached the disk (the
+   publish-before-quiesce chaos hook, crashed on the publish): the first
+   listed block not on disk stops the mount. *)
+let check_absent_block () =
+  let eng = Engine.create ~cores:8 () in
+  let chaos = { Aggregate.no_chaos with Aggregate.publish_before_quiesce = true } in
+  let agg =
+    Aggregate.create eng ~cost:Cost.default ~geometry:(small_geometry ()) ~nvlog_half:4096 ~chaos
+      ()
+  in
+  let walloc = Wafl_core.Walloc.create agg Wafl_core.Walloc.default_config in
+  ignore
+    (Engine.spawn eng ~label:"writer" (fun () ->
+         let vol = Aggregate.create_volume agg ~vvbn_space:65536 in
+         Wafl_core.Walloc.register_volume walloc vol;
+         let f = Aggregate.create_file agg ~vol:(Volume.id vol) in
+         for fbn = 0 to 99 do
+           ignore (Aggregate.write agg ~vol:(Volume.id vol) ~file:(File.id f) ~fbn ~content:1L)
+         done;
+         Wafl_core.Cp.request (Wafl_core.Walloc.cp walloc)));
+  let img = Aggregate.crash agg in
+  while Image.superblock img = None do
+    Engine.run ~until:(Engine.now eng +. 1.0) eng
+  done;
+  let sb = Option.get (Image.superblock img) in
+  let absent =
+    Array.to_list sb.Layout.aggmap_pvbns
+    |> List.find (fun (_, pvbn) -> Wafl_storage.Disk.read (Image.disk img) pvbn = None)
+  in
+  Alcotest.(check (option string)) "absent aggmap chunk"
+    (Some (Printf.sprintf "recovery: aggmap chunk at pvbn %d missing" (snd absent)))
+    (recover_error img)
+
+let test_recovery_detects_corruption () =
+  check_wrong_payloads ();
+  check_absent_block ()
+
 (* --- randomized crash-point harness --- *)
 
 module Crash = Wafl_harness.Crash
@@ -506,6 +610,8 @@ let () =
           Alcotest.test_case "sequential writes are full-stripe" `Quick
             test_full_stripe_writes_dominate_sequential;
           Alcotest.test_case "delete reclaims space" `Quick test_delete_file_reclaims_space;
+          Alcotest.test_case "fsck after low files deleted" `Quick
+            test_fsck_after_low_files_deleted;
           Alcotest.test_case "delete survives crash replay" `Quick
             test_delete_survives_crash_replay;
           Alcotest.test_case "delete dirty file drops buffers" `Quick
@@ -513,6 +619,8 @@ let () =
           Alcotest.test_case "serial mode correct" `Quick test_history_serial_mode_correct;
           Alcotest.test_case "serial mode crash recovery" `Quick
             test_serial_mode_crash_recovery;
+          Alcotest.test_case "recovery detects corrupt blocks" `Quick
+            test_recovery_detects_corruption;
           QCheck_alcotest.to_alcotest ~verbose:false prop_crash_anywhere_loses_nothing;
         ] );
       ( "crash-harness",

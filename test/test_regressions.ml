@@ -382,6 +382,42 @@ let test_shard_golden () =
     (List.map (fun r -> Printf.sprintf "%d/%d/%.6f" r.S.ops r.S.cps r.S.util) o.S.rows);
   Alcotest.(check int) "shard epochs" 8 o.S.epochs
 
+(* The crash harness's summary text, pinned across commits: a small
+   default batch and the publish-before-quiesce negative control, whose
+   FAILED lines carry recovery's corruption messages.  Recovery and
+   fsck changes that should be pure refactors must leave both texts
+   byte-identical. *)
+let crash_batch_default =
+  "crash harness: 8/8 seeds passed\n\
+  \  crashed mid-CP: 8   degraded at crash: 1   with torn tail: 7\n\
+  \  faults seen: 0 media errors, 12 transient retries, 0 degraded reads, 8192 rebuilt blocks\n\
+  \  overload: 14 back-to-back CPs, 7.0 ms client stall, 0 exhausted-write refusals\n"
+
+let crash_batch_chaos =
+  "crash harness: 0/8 seeds passed\n\
+  \  crashed mid-CP: 8   degraded at crash: 1   with torn tail: 7\n\
+  \  faults seen: 0 media errors, 11 transient retries, 0 degraded reads, 8192 rebuilt blocks\n\
+  \  overload: 14 back-to-back CPs, 0.0 ms client stall, 0 exhausted-write refusals\n\
+  \  FAILED seed 1: lost 33/2792 acked blocks (crash 47523us, phase io-flush)\n\
+  \  FAILED seed 2: lost 2610/2610 acked blocks, fsck: recovery: aggmap chunk at pvbn 8719 \
+   missing (crash 22292us, phase io-flush)\n\
+  \  FAILED seed 3: lost 43/2791 acked blocks (crash 47007us, phase io-flush)\n\
+  \  FAILED seed 4: lost 71/2711 acked blocks (crash 29064us, phase io-flush)\n\
+  \  FAILED seed 5: lost 66/2710 acked blocks (crash 30113us, phase io-flush)\n\
+  \  FAILED seed 6: lost 2797/2797 acked blocks, fsck: recovery: aggmap chunk at pvbn 10014 \
+   missing (crash 50215us, phase io-flush)\n\
+  \  FAILED seed 7: lost 45/2792 acked blocks (crash 47424us, phase io-flush)\n\
+  \  FAILED seed 8: lost 2792/2792 acked blocks, fsck: recovery: aggmap chunk at pvbn 34846 \
+   missing (crash 52483us, phase io-flush)\n"
+
+let test_crash_batch_golden () =
+  let module C = Wafl_harness.Crash in
+  Alcotest.(check string) "default batch" crash_batch_default
+    (C.summarize (C.run_seeds ~first_seed:1 ~count:8 ()));
+  let chaos = { Aggregate.no_chaos with Aggregate.publish_before_quiesce = true } in
+  Alcotest.(check string) "publish-before-quiesce batch" crash_batch_chaos
+    (C.summarize (C.run_seeds ~chaos ~first_seed:1 ~count:8 ()))
+
 let () =
   Alcotest.run "regressions"
     [
@@ -404,5 +440,8 @@ let () =
         List.map
           (fun (name, _) -> Alcotest.test_case name `Quick (test_golden name))
           golden_specs
-        @ [ Alcotest.test_case "fleet shard" `Quick test_shard_golden ] );
+        @ [
+            Alcotest.test_case "fleet shard" `Quick test_shard_golden;
+            Alcotest.test_case "crash batch" `Quick test_crash_batch_golden;
+          ] );
     ]

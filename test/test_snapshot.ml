@@ -46,6 +46,7 @@ let write_gen env f ~blocks ~gen =
   done
 
 let run_cp env = Wafl_core.Cp.run_now (Wafl_core.Walloc.cp env.walloc)
+let read_snap agg = Image.read_snapshot (Aggregate.tree agg)
 
 let test_snapshot_reads_past () =
   let env = make_env () in
@@ -65,7 +66,7 @@ let test_snapshot_reads_past () =
         (match Aggregate.read env.agg ~vol:(Volume.id env.vol) ~file:(File.id f) ~fbn with
         | Some c when c = token ~gen:2 ~fbn -> ()
         | _ -> Alcotest.failf "active fbn %d: wrong content" fbn);
-        match Aggregate.read_snapshot env.agg snap ~vol:(Volume.id env.vol) ~file:(File.id f) ~fbn with
+        match read_snap env.agg snap ~vol:(Volume.id env.vol) ~file:(File.id f) ~fbn with
         | Some c when c = token ~gen:0 ~fbn -> ()
         | Some c -> Alcotest.failf "snapshot fbn %d: got %Ld" fbn c
         | None -> Alcotest.failf "snapshot fbn %d: hole" fbn
@@ -120,7 +121,7 @@ let test_snapshot_survives_crash () =
   | None -> Alcotest.fail "snapshot lost across crash"
   | Some snap ->
       for fbn = 0 to 99 do
-        match Aggregate.read_snapshot agg2 snap ~vol:0 ~file:0 ~fbn with
+        match read_snap agg2 snap ~vol:0 ~file:0 ~fbn with
         | Some c when c = token ~gen:0 ~fbn -> ()
         | _ -> Alcotest.failf "snapshot fbn %d: wrong content after recovery" fbn
       done);
@@ -141,7 +142,7 @@ let test_snapshot_protects_deleted_file () =
       (* The snapshot still reads the deleted file's data. *)
       for fbn = 0 to 149 do
         match
-          Aggregate.read_snapshot env.agg snap ~vol:(Volume.id env.vol) ~file:(File.id f) ~fbn
+          read_snap env.agg snap ~vol:(Volume.id env.vol) ~file:(File.id f) ~fbn
         with
         | Some c when c = token ~gen:0 ~fbn -> ()
         | _ -> Alcotest.failf "snapshot fbn %d: deleted file unreadable" fbn
@@ -166,7 +167,7 @@ let test_multiple_snapshots_generations () =
           let gen = 2 - i in
           for fbn = 0 to 99 do
             match
-              Aggregate.read_snapshot env.agg snap ~vol:(Volume.id env.vol) ~file:(File.id f)
+              read_snap env.agg snap ~vol:(Volume.id env.vol) ~file:(File.id f)
                 ~fbn
             with
             | Some c when c = token ~gen ~fbn -> ()
@@ -185,7 +186,7 @@ let test_multiple_snapshots_generations () =
               let gen = if name = "gen0" then 0 else 2 in
               for fbn = 0 to 99 do
                 match
-                  Aggregate.read_snapshot env.agg snap ~vol:(Volume.id env.vol)
+                  read_snap env.agg snap ~vol:(Volume.id env.vol)
                     ~file:(File.id f) ~fbn
                 with
                 | Some c when c = token ~gen ~fbn -> ()
@@ -220,12 +221,49 @@ let test_snapshot_holes_and_absent_files () =
       run_cp env;
       let snap = Aggregate.create_snapshot env.agg ~name:"s" in
       Alcotest.(check (option int64)) "hole" None
-        (Aggregate.read_snapshot env.agg snap ~vol:(Volume.id env.vol) ~file:(File.id f)
+        (read_snap env.agg snap ~vol:(Volume.id env.vol) ~file:(File.id f)
            ~fbn:5000);
       Alcotest.(check (option int64)) "absent file" None
-        (Aggregate.read_snapshot env.agg snap ~vol:(Volume.id env.vol) ~file:999 ~fbn:0);
+        (read_snap env.agg snap ~vol:(Volume.id env.vol) ~file:999 ~fbn:0);
       Alcotest.(check (option int64)) "absent volume" None
-        (Aggregate.read_snapshot env.agg snap ~vol:42 ~file:0 ~fbn:0))
+        (read_snap env.agg snap ~vol:42 ~file:0 ~fbn:0))
+
+(* Snapshot reads take the RAID read path like every other on-disk read:
+   a latent media error under a pinned block is seen (and repaired by
+   reconstruction), and a pinned block whose stripe is degraded over a
+   peer drive is unrecoverable. *)
+let test_snapshot_reads_are_fault_aware () =
+  let module Fault = Wafl_storage.Fault in
+  let env = make_env () in
+  let plan = Fault.create ~seed:1 () in
+  Wafl_storage.Disk.set_fault (Aggregate.disk env.agg) plan;
+  in_sim env (fun () ->
+      let vol = Volume.id env.vol in
+      let f = Aggregate.create_file env.agg ~vol in
+      write_gen env f ~blocks:10 ~gen:0;
+      run_cp env;
+      let snap = Aggregate.create_snapshot env.agg ~name:"pinned" in
+      let pinned fbn = Volume.pvbn_of_vvbn env.vol (File.vvbn_of_fbn f fbn) in
+      let p0 = pinned 0 and p1 = pinned 1 in
+      write_gen env f ~blocks:10 ~gen:1;
+      run_cp env;
+      Fault.add_media_error plan p0;
+      Alcotest.(check (option int64)) "reconstructed" (Some (token ~gen:0 ~fbn:0))
+        (read_snap env.agg snap ~vol ~file:(File.id f) ~fbn:0);
+      Alcotest.(check int) "media error seen" 1 (Fault.media_errors_seen plan);
+      let geom = Aggregate.geometry env.agg in
+      let rg = Geometry.rg_of geom p1 and drive = Geometry.drive_of geom p1 in
+      let peer = List.find (fun d -> d <> drive) (List.map fst (Geometry.drives_of_rg geom ~rg)) in
+      Fault.add_media_error plan p1;
+      Fault.fail_disk plan ~rg ~drive:peer ~at:(Engine.now env.eng);
+      match read_snap env.agg snap ~vol ~file:(File.id f) ~fbn:1 with
+      | _ -> Alcotest.fail "unrecoverable pinned block read back"
+      | exception Image.Corruption m ->
+          (* The stripe's lost block may be the pinned data block or a
+             pinned metafile block on the failed drive that the walk
+             reaches first. *)
+          let suffix = "unrecoverable: media error in a degraded RAID group" in
+          Alcotest.(check bool) ("unrecoverable: " ^ m) true (String.ends_with ~suffix m))
 
 let prop_snapshot_immutable_under_random_traffic =
   QCheck.Test.make ~name:"snapshot content immutable under random overwrites" ~count:6
@@ -252,7 +290,7 @@ let prop_snapshot_immutable_under_random_traffic =
           done;
           for fbn = 0 to blocks - 1 do
             match
-              Aggregate.read_snapshot env.agg snap ~vol:(Volume.id env.vol) ~file:(File.id f)
+              read_snap env.agg snap ~vol:(Volume.id env.vol) ~file:(File.id f)
                 ~fbn
             with
             | Some c when c = token ~gen:0 ~fbn -> ()
@@ -310,6 +348,7 @@ let () =
           Alcotest.test_case "creation guards" `Quick test_snapshot_guards;
           Alcotest.test_case "holes and absent files" `Quick
             test_snapshot_holes_and_absent_files;
+          Alcotest.test_case "reads are fault-aware" `Quick test_snapshot_reads_are_fault_aware;
           QCheck_alcotest.to_alcotest ~verbose:false
             prop_snapshot_immutable_under_random_traffic;
         ] );

@@ -405,7 +405,7 @@ let pass_lock_order prog =
 (* --- ownership cross-check ---------------------------------------------- *)
 
 (* String literals a node (transitively) mentions — used to resolve
-   domain-name generator functions like Aggregate.agg_map_domain, whose
+   domain-name generator functions like Image.agg_map_domain, whose
    bodies are sprintf format literals.  Names are normalized by cutting
    at the first format directive, so "agg.map/%d" matches the
    register_owner call that used the same generator. *)
